@@ -1,7 +1,7 @@
 //! # alex-bench — experiment harness for the ALEX reproduction
 //!
 //! One binary per table/figure of the paper (see `src/bin/exp_*.rs`), plus
-//! Criterion micro-benchmarks under `benches/`. This library holds the
+//! the gate binaries CI runs. This library holds the
 //! shared runner: scenario construction, series collection, and plain-text
 //! / CSV / JSON rendering so `EXPERIMENTS.md` numbers are regenerable.
 

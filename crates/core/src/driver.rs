@@ -317,18 +317,35 @@ impl AlexDriver {
     /// aggregated episode counters.
     pub fn step(&mut self, oracle: &dyn FeedbackOracle) -> PartitionEpisodeStats {
         let items = self.allot_items();
+        let mut totals = PartitionEpisodeStats::default();
+        for (stats, _) in self.run_partition_episodes(&items, oracle) {
+            totals.merge(&stats);
+        }
+        totals
+    }
+
+    /// Runs one episode on every partition, each on its own scoped thread
+    /// under an `rl.episode` span, giving partition `k` `items[k]` feedback
+    /// items. Returns each partition's counters and wall time in ms.
+    fn run_partition_episodes(
+        &mut self,
+        items: &[usize],
+        oracle: &dyn FeedbackOracle,
+    ) -> Vec<(PartitionEpisodeStats, f64)> {
         let episode_span = alex_trace::span("rl.episode");
         let ctx = episode_span.ctx();
-        let results: Vec<PartitionEpisodeStats> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .engines
                 .iter_mut()
-                .zip(&items)
+                .zip(items)
                 .map(|(e, &count)| {
                     scope.spawn(move || {
                         let _guard = alex_trace::attach(ctx);
                         let _span = alex_trace::span("rl.partition");
-                        e.run_episode(count, oracle)
+                        let t = Instant::now();
+                        let stats = e.run_episode(count, oracle);
+                        (stats, t.elapsed().as_secs_f64() * 1000.0)
                     })
                 })
                 .collect();
@@ -336,12 +353,7 @@ impl AlexDriver {
                 .into_iter()
                 .map(|h| h.join().expect("partition panicked"))
                 .collect()
-        });
-        let mut totals = PartitionEpisodeStats::default();
-        for r in &results {
-            totals.merge(r);
-        }
-        totals
+        })
     }
 
     /// Runs episodes until convergence or the episode cap, evaluating
@@ -398,29 +410,7 @@ impl AlexDriver {
                 break; // nothing left to give feedback on
             }
             let episode_start = Instant::now();
-            let episode_span = alex_trace::span("rl.episode");
-            let ctx = episode_span.ctx();
-            let results: Vec<(PartitionEpisodeStats, f64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .engines
-                    .iter_mut()
-                    .zip(&items)
-                    .map(|(e, &count)| {
-                        scope.spawn(move || {
-                            let _guard = alex_trace::attach(ctx);
-                            let _span = alex_trace::span("rl.partition");
-                            let t = Instant::now();
-                            let stats = e.run_episode(count, oracle);
-                            (stats, t.elapsed().as_secs_f64() * 1000.0)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition panicked"))
-                    .collect()
-            });
-            drop(episode_span);
+            let results = self.run_partition_episodes(&items, oracle);
             let episode_ms = episode_start.elapsed().as_secs_f64() * 1000.0;
 
             let mut totals = PartitionEpisodeStats::default();

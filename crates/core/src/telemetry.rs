@@ -280,49 +280,55 @@ impl MetricsRegistry {
     }
 
     /// Renders every instrument in Prometheus text exposition format,
-    /// sorted by name.
+    /// one family at a time, sorted by family name.
     ///
-    /// Counters and gauges emit one `name value` line. Histograms emit the
-    /// standard Prometheus histogram series: cumulative
-    /// `name_bucket{le="…"}` lines ending with `le="+Inf"`, then
-    /// `name_sum` and `name_count`; a histogram name that already carries
-    /// labels has the `le` label merged into the existing set.
+    /// A family is every series sharing a base name (the part before
+    /// `{`): it gets exactly one `# TYPE` line followed by all of its
+    /// samples. Counters and gauges emit one `name value` line per series.
+    /// Histograms emit the standard Prometheus histogram series:
+    /// cumulative `name_bucket{le="…"}` lines ending with `le="+Inf"`,
+    /// then `name_sum` and `name_count`; a histogram name that already
+    /// carries labels has the `le` label merged into the existing set.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        // Group by base name rather than by adjacency in the sorted maps:
+        // `x_total_foo` sorts between `x_total` and `x_total{…}`, which
+        // would split the `x_total` family in two.
+        let mut families: BTreeMap<String, (&'static str, String)> = BTreeMap::new();
+        let mut sample = |name: &str, kind: &'static str, lines: String| {
+            families
+                .entry(base_name(name).to_string())
+                .or_insert((kind, String::new()))
+                .1
+                .push_str(&lines);
+        };
         for (name, c) in self.counters.lock().iter() {
-            out.push_str(&format!(
-                "# TYPE {} counter\n{name} {}\n",
-                base_name(name),
-                c.get()
-            ));
+            sample(name, "counter", format!("{name} {}\n", c.get()));
         }
         for (name, g) in self.gauges.lock().iter() {
-            out.push_str(&format!(
-                "# TYPE {} gauge\n{name} {}\n",
-                base_name(name),
-                g.get()
-            ));
+            sample(name, "gauge", format!("{name} {}\n", g.get()));
         }
         for (name, g) in self.float_gauges.lock().iter() {
-            out.push_str(&format!(
-                "# TYPE {} gauge\n{name} {}\n",
-                base_name(name),
-                g.get()
-            ));
+            sample(name, "gauge", format!("{name} {}\n", g.get()));
         }
         for (name, h) in self.histograms.lock().iter() {
-            out.push_str(&format!("# TYPE {} histogram\n", base_name(name)));
             let (base, labels) = split_labels(name);
             let bucket_line = |le: &str, count: u64| {
                 let series = with_label(&format!("{base}_bucket{labels}"), &format!("le=\"{le}\""));
                 format!("{series} {count}\n")
             };
+            let mut lines = String::new();
             for (bound, cumulative) in h.cumulative_buckets() {
-                out.push_str(&bucket_line(&format!("{bound}"), cumulative));
+                lines.push_str(&bucket_line(&format!("{bound}"), cumulative));
             }
-            out.push_str(&bucket_line("+Inf", h.count()));
-            out.push_str(&format!("{base}_sum{labels} {}\n", h.sum()));
-            out.push_str(&format!("{base}_count{labels} {}\n", h.count()));
+            lines.push_str(&bucket_line("+Inf", h.count()));
+            lines.push_str(&format!("{base}_sum{labels} {}\n", h.sum()));
+            lines.push_str(&format!("{base}_count{labels} {}\n", h.count()));
+            sample(name, "histogram", lines);
+        }
+        let mut out = String::new();
+        for (family, (kind, lines)) in families {
+            out.push_str(&format!("# TYPE {family} {kind}\n"));
+            out.push_str(&lines);
         }
         out
     }
@@ -472,6 +478,61 @@ mod tests {
         let count_at = text.find("latency_seconds_count").unwrap();
         let inf_at = text.find("le=\"+Inf\"").unwrap();
         assert!(inf_at < sum_at && sum_at < count_at);
+    }
+
+    /// Parses a full render line by line: every family has exactly one
+    /// `# TYPE` line, and every sample follows its own family's TYPE line
+    /// with no other family in between.
+    #[test]
+    fn exposition_has_one_type_line_per_family_before_its_samples() {
+        let reg = MetricsRegistry::new();
+        reg.counter("x_total").inc();
+        reg.counter("x_total{route=\"/a\"}").inc();
+        reg.counter("x_total{route=\"/b\"}").add(2);
+        // Sorts between `x_total` and `x_total{…}` in the registry map.
+        reg.counter("x_total_foo").inc();
+        reg.gauge("sessions_active").set(1);
+        reg.histogram("req_seconds{route=\"/a\"}").record(0.01);
+        reg.histogram("req_seconds{route=\"/b\"}").record(0.5);
+        let text = reg.render();
+
+        let mut types: Vec<(String, String)> = Vec::new();
+        let mut samples: Vec<(String, String)> = Vec::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (family, kind) = rest.split_once(' ').expect("TYPE <family> <kind>");
+                assert!(
+                    !types.iter().any(|(f, _)| f == family),
+                    "second TYPE line for {family}:\n{text}"
+                );
+                types.push((family.to_string(), kind.to_string()));
+                continue;
+            }
+            assert!(!line.starts_with('#'), "unexpected comment {line:?}");
+            let series = line.rsplit_once(' ').expect("<series> <value>").0;
+            let name = base_name(series);
+            let (family, kind) = types.last().expect("sample before any TYPE line");
+            let belongs = match kind.as_str() {
+                "histogram" => ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|suffix| name.strip_suffix(suffix) == Some(family)),
+                _ => name == family,
+            };
+            assert!(belongs, "{line:?} is not in family {family}:\n{text}");
+            samples.push((family.clone(), line.to_string()));
+        }
+        let families: Vec<&str> = types.iter().map(|(f, _)| f.as_str()).collect();
+        assert_eq!(
+            families,
+            ["req_seconds", "sessions_active", "x_total", "x_total_foo"]
+        );
+        assert_eq!(types[0].1, "histogram");
+        assert_eq!(types[2].1, "counter");
+        let count = |family: &str| samples.iter().filter(|(f, _)| f == family).count();
+        assert_eq!(count("x_total"), 3);
+        assert_eq!(count("x_total_foo"), 1);
+        let buckets = Histogram::new().cumulative_buckets().len() + 1;
+        assert_eq!(count("req_seconds"), 2 * (buckets + 2));
     }
 
     #[test]

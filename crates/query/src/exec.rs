@@ -1,20 +1,14 @@
-//! Single-store query execution.
-//!
-//! Classic pattern-at-a-time evaluation: patterns are greedily reordered so
-//! the most selective (most-bound) pattern runs first, each pattern extends
-//! the current binding set via the store's indexes, filters apply as soon
-//! as their variables are bound, and projection/`DISTINCT`/`LIMIT` run at
-//! the end.
+//! Solution rows and the expression semantics the federated engine
+//! evaluates them with: the variable table that maps names to row slots,
+//! literal resolution against the shared interner, `FILTER` evaluation,
+//! and the term comparisons behind `FILTER` and `ORDER BY`.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use alex_rdf::{Date, Interner, IriId, Literal, Store, Term};
+use alex_rdf::{Date, Interner, Literal, Term};
 
-use crate::ast::{
-    CompareOp, FilterExpr, FilterOperand, Group, LiteralSpec, PatternTerm, Query, TriplePattern,
-    Variable,
-};
+use crate::ast::{CompareOp, FilterExpr, FilterOperand, LiteralSpec, Query, Variable};
 
 /// A solution row: one term per query variable (by index), `None` until
 /// bound.
@@ -74,310 +68,6 @@ pub fn resolve_literal(spec: &LiteralSpec, interner: &Interner) -> Option<Litera
         LiteralSpec::Boolean(b) => Literal::Boolean(*b),
         LiteralSpec::Date(s) => Literal::Date(Date::parse(s).ok()?),
     })
-}
-
-/// A query compiled against an interner, ready to run on stores sharing it.
-#[derive(Clone, Debug)]
-pub struct CompiledQuery {
-    query: Query,
-    vars: VarTable,
-}
-
-impl CompiledQuery {
-    /// Compiles `query`.
-    pub fn new(query: Query) -> Self {
-        let vars = VarTable::from_query(&query);
-        Self { query, vars }
-    }
-
-    /// The variable table.
-    pub fn vars(&self) -> &VarTable {
-        &self.vars
-    }
-
-    /// The underlying AST.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
-    /// Row indices of the projection, in projection order.
-    pub fn projection_indices(&self) -> Vec<usize> {
-        self.query
-            .projection()
-            .iter()
-            .filter_map(|v| self.vars.index_of(v))
-            .collect()
-    }
-
-    /// Runs the query against one store, returning projected rows.
-    ///
-    /// Cells are `None` where a projection variable is unbound (possible
-    /// only through `OPTIONAL`).
-    pub fn execute(&self, store: &Store) -> Vec<Vec<Option<Term>>> {
-        let mut rows: Vec<Row> = vec![vec![None; self.vars.len()]];
-        let mut remaining: Vec<&TriplePattern> = self.query.patterns.iter().collect();
-
-        while !remaining.is_empty() && !rows.is_empty() {
-            let pattern = self.pick_next(&rows, &mut remaining);
-            rows = self.extend(rows, pattern, store);
-            rows = self.apply_ready_filters(rows, store, &remaining);
-        }
-
-        // UNION blocks: each row extends through either branch.
-        for (a, b) in &self.query.unions {
-            let mut next = self.extend_group(rows.clone(), a, store);
-            next.extend(self.extend_group(rows, b, store));
-            next.sort();
-            next.dedup();
-            rows = next;
-        }
-
-        // OPTIONAL blocks: left join — keep the row when the group finds
-        // nothing.
-        for g in &self.query.optionals {
-            rows = rows
-                .into_iter()
-                .flat_map(|r| {
-                    let exts = self.extend_group(vec![r.clone()], g, store);
-                    if exts.is_empty() {
-                        vec![r]
-                    } else {
-                        exts
-                    }
-                })
-                .collect();
-        }
-
-        self.finish(rows, store)
-    }
-
-    /// Greedy join order: among remaining patterns, pick the one with the
-    /// most positions already bound (constants count as bound).
-    fn pick_next<'p>(
-        &self,
-        rows: &[Row],
-        remaining: &mut Vec<&'p TriplePattern>,
-    ) -> &'p TriplePattern {
-        let bound_vars: Vec<bool> = (0..self.vars.len())
-            .map(|i| rows.iter().any(|r| r[i].is_some()))
-            .collect();
-        let score = |p: &TriplePattern| -> usize {
-            [&p.subject, &p.predicate, &p.object]
-                .iter()
-                .filter(|t| match t {
-                    PatternTerm::Var(v) => self.vars.index_of(v).is_some_and(|i| bound_vars[i]),
-                    _ => true,
-                })
-                .count()
-        };
-        let (best_idx, _) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, p)| score(p))
-            .expect("remaining is non-empty");
-        remaining.swap_remove(best_idx)
-    }
-
-    /// Extends rows through a nested group's patterns and filters.
-    fn extend_group(&self, mut rows: Vec<Row>, group: &Group, store: &Store) -> Vec<Row> {
-        let mut remaining: Vec<&TriplePattern> = group.patterns.iter().collect();
-        while !remaining.is_empty() && !rows.is_empty() {
-            let pattern = self.pick_next(&rows, &mut remaining);
-            rows = self.extend(rows, pattern, store);
-        }
-        rows.retain(|r| {
-            group
-                .filters
-                .iter()
-                .all(|f| eval_filter(f, r, &self.vars, store.interner()))
-        });
-        rows
-    }
-
-    fn pattern_term_value(
-        &self,
-        term: &PatternTerm,
-        row: &Row,
-        interner: &Interner,
-    ) -> Result<Option<Term>, ()> {
-        match term {
-            PatternTerm::Var(v) => {
-                let i = self
-                    .vars
-                    .index_of(v)
-                    .expect("var table covers all query variables");
-                Ok(row[i])
-            }
-            PatternTerm::Iri(iri) => match interner.get(iri) {
-                Some(id) => Ok(Some(Term::Iri(IriId(id)))),
-                None => Err(()), // IRI never seen: pattern cannot match
-            },
-            PatternTerm::Literal(spec) => match resolve_literal(spec, interner) {
-                Some(l) => Ok(Some(Term::Literal(l))),
-                None => Err(()),
-            },
-        }
-    }
-
-    fn extend(&self, rows: Vec<Row>, pattern: &TriplePattern, store: &Store) -> Vec<Row> {
-        let interner = store.interner();
-        let mut out = Vec::new();
-        for row in rows {
-            let s = match self.pattern_term_value(&pattern.subject, &row, interner) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            let p = match self.pattern_term_value(&pattern.predicate, &row, interner) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            let o = match self.pattern_term_value(&pattern.object, &row, interner) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            // Subject/predicate bound to a literal can never match.
-            let s_iri = match s {
-                Some(Term::Iri(id)) => Some(id),
-                Some(Term::Literal(_)) => continue,
-                None => None,
-            };
-            let p_iri = match p {
-                Some(Term::Iri(id)) => Some(id),
-                Some(Term::Literal(_)) => continue,
-                None => None,
-            };
-            for triple in store.match_pattern(s_iri, p_iri, o) {
-                let mut new_row = row.clone();
-                let mut ok = true;
-                if let PatternTerm::Var(v) = &pattern.subject {
-                    ok &= bind(
-                        &mut new_row,
-                        self.vars.index_of(v).unwrap(),
-                        Term::Iri(triple.subject),
-                    );
-                }
-                if ok {
-                    if let PatternTerm::Var(v) = &pattern.predicate {
-                        ok &= bind(
-                            &mut new_row,
-                            self.vars.index_of(v).unwrap(),
-                            Term::Iri(triple.predicate),
-                        );
-                    }
-                }
-                if ok {
-                    if let PatternTerm::Var(v) = &pattern.object {
-                        ok &= bind(&mut new_row, self.vars.index_of(v).unwrap(), triple.object);
-                    }
-                }
-                if ok {
-                    out.push(new_row);
-                }
-            }
-        }
-        out
-    }
-
-    /// Applies every filter whose variables are all bound in every row and
-    /// cannot be affected by the remaining patterns.
-    fn apply_ready_filters(
-        &self,
-        rows: Vec<Row>,
-        store: &Store,
-        remaining: &[&TriplePattern],
-    ) -> Vec<Row> {
-        let still_unbound: std::collections::HashSet<usize> = remaining
-            .iter()
-            .flat_map(|p| p.variables())
-            .filter_map(|v| self.vars.index_of(v))
-            .collect();
-        let ready: Vec<&FilterExpr> = self
-            .query
-            .filters
-            .iter()
-            .filter(|f| {
-                f.variables()
-                    .iter()
-                    .filter_map(|v| self.vars.index_of(v))
-                    .all(|i| !still_unbound.contains(&i))
-            })
-            .collect();
-        if ready.is_empty() {
-            return rows;
-        }
-        rows.into_iter()
-            .filter(|row| {
-                ready
-                    .iter()
-                    .all(|f| eval_filter(f, row, &self.vars, store.interner()))
-            })
-            .collect()
-    }
-
-    fn finish(&self, mut rows: Vec<Row>, store: &Store) -> Vec<Vec<Option<Term>>> {
-        let interner = store.interner();
-        let proj = self.projection_indices();
-
-        // ORDER BY runs over full solutions, before projection.
-        if !self.query.order_by.is_empty() {
-            let keys: Vec<(usize, bool)> = self
-                .query
-                .order_by
-                .iter()
-                .filter_map(|k| self.vars.index_of(&k.var).map(|i| (i, k.descending)))
-                .collect();
-            rows.sort_by(|a, b| {
-                for &(i, desc) in &keys {
-                    let ord = total_term_cmp(&a[i], &b[i], interner);
-                    let ord = if desc { ord.reverse() } else { ord };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-        }
-
-        let mut out: Vec<Vec<Option<Term>>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut to_skip = self.query.offset.unwrap_or(0);
-        for row in rows {
-            // Residual filter check.
-            if !self
-                .query
-                .filters
-                .iter()
-                .all(|f| eval_filter(f, &row, &self.vars, interner))
-            {
-                continue;
-            }
-            let projected: Vec<Option<Term>> = proj.iter().map(|&i| row[i]).collect();
-            if self.query.distinct && !seen.insert(projected.clone()) {
-                continue;
-            }
-            if to_skip > 0 {
-                to_skip -= 1;
-                continue;
-            }
-            out.push(projected);
-            if let Some(limit) = self.query.limit {
-                if out.len() >= limit {
-                    break;
-                }
-            }
-        }
-        out
-    }
-}
-
-fn bind(row: &mut Row, idx: usize, value: Term) -> bool {
-    match row[idx] {
-        Some(existing) => existing == value,
-        None => {
-            row[idx] = Some(value);
-            true
-        }
-    }
 }
 
 /// Evaluates a filter over a (possibly partially bound) row; unbound
@@ -513,297 +203,5 @@ pub fn compare_terms(a: &Term, b: &Term, interner: &Interner) -> Option<Ordering
             Some(interner.resolve(sx).cmp(&interner.resolve(sy)))
         }
         _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parser::parse;
-
-    fn demo_store() -> Store {
-        let interner = Interner::new_shared();
-        let mut store = Store::new(interner.clone());
-        let name = store.intern_iri("http://ex/name");
-        let age = store.intern_iri("http://ex/age");
-        let knows = store.intern_iri("http://ex/knows");
-        let people = [
-            ("alice", "Alice Prandel", 30i64),
-            ("bob", "Bob Krane", 25),
-            ("carol", "Carol Thorn", 35),
-        ];
-        for (id, nm, a) in people {
-            let s = store.intern_iri(&format!("http://ex/{id}"));
-            store.insert_literal(s, name, Literal::str(&interner, nm));
-            store.insert_literal(s, age, Literal::Integer(a));
-        }
-        let alice = store.intern_iri("http://ex/alice");
-        let bob = store.intern_iri("http://ex/bob");
-        let carol = store.intern_iri("http://ex/carol");
-        store.insert_iri(alice, knows, bob);
-        store.insert_iri(bob, knows, carol);
-        store
-    }
-
-    fn run(store: &Store, q: &str) -> Vec<Vec<Term>> {
-        CompiledQuery::new(parse(q).unwrap())
-            .execute(store)
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|c| c.expect("bound in these tests"))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Like [`run`] but keeps unbound cells (for OPTIONAL tests).
-    fn run_opt(store: &Store, q: &str) -> Vec<Vec<Option<Term>>> {
-        CompiledQuery::new(parse(q).unwrap()).execute(store)
-    }
-
-    #[test]
-    fn single_pattern() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?n WHERE { <http://ex/alice> <http://ex/name> ?n }",
-        );
-        assert_eq!(rows.len(), 1);
-        let lit = rows[0][0].as_literal().unwrap();
-        assert_eq!(&*lit.lexical(store.interner()), "Alice Prandel");
-    }
-
-    #[test]
-    fn join_across_patterns() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?n WHERE { <http://ex/alice> <http://ex/knows> ?f . ?f <http://ex/name> ?n }",
-        );
-        assert_eq!(rows.len(), 1);
-        assert_eq!(
-            &*rows[0][0].as_literal().unwrap().lexical(store.interner()),
-            "Bob Krane"
-        );
-    }
-
-    #[test]
-    fn two_hop_join() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?n WHERE { ?a <http://ex/knows> ?b . ?b <http://ex/knows> ?c . ?c <http://ex/name> ?n }",
-        );
-        assert_eq!(rows.len(), 1);
-        assert_eq!(
-            &*rows[0][0].as_literal().unwrap().lexical(store.interner()),
-            "Carol Thorn"
-        );
-    }
-
-    #[test]
-    fn numeric_filter() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?n WHERE { ?p <http://ex/name> ?n . ?p <http://ex/age> ?a . FILTER(?a >= 30) }",
-        );
-        assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn string_filters() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?n WHERE { ?p <http://ex/name> ?n . FILTER(CONTAINS(?n, \"krane\")) }",
-        );
-        assert_eq!(rows.len(), 1);
-        let rows = run(
-            &store,
-            "SELECT ?n WHERE { ?p <http://ex/name> ?n . FILTER(STRSTARTS(?n, \"carol\")) }",
-        );
-        assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn distinct_and_limit() {
-        let store = demo_store();
-        let rows = run(&store, "SELECT DISTINCT ?p WHERE { ?p ?pred ?o }");
-        assert_eq!(rows.len(), 3);
-        let rows = run(&store, "SELECT ?p WHERE { ?p ?pred ?o } LIMIT 2");
-        assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn shared_variable_must_agree() {
-        let store = demo_store();
-        // ?x must be both a subject with age 30 and the object known by bob
-        // — no such entity (bob knows carol, who is 35).
-        let rows = run(
-            &store,
-            "SELECT ?x WHERE { <http://ex/bob> <http://ex/knows> ?x . ?x <http://ex/age> 30 }",
-        );
-        assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn unknown_iri_yields_empty() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?o WHERE { <http://ex/ghost> <http://ex/name> ?o }",
-        );
-        assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn literal_constant_object() {
-        let store = demo_store();
-        let rows = run(&store, "SELECT ?p WHERE { ?p <http://ex/age> 25 }");
-        assert_eq!(rows.len(), 1);
-        let iri = rows[0][0].as_iri().unwrap();
-        assert_eq!(&*store.iri_str(iri), "http://ex/bob");
-    }
-
-    #[test]
-    fn numeric_coercion_in_filters() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?p WHERE { ?p <http://ex/age> ?a . FILTER(?a = 25.0) }",
-        );
-        assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn or_and_not_filters() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?p WHERE { ?p <http://ex/age> ?a . FILTER(?a < 26 || ?a > 34) }",
-        );
-        assert_eq!(rows.len(), 2);
-        let rows = run(
-            &store,
-            "SELECT ?p WHERE { ?p <http://ex/age> ?a . FILTER(!(?a < 26 || ?a > 34)) }",
-        );
-        assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn order_by_sorts_rows() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?n ?a WHERE { ?p <http://ex/name> ?n . ?p <http://ex/age> ?a } ORDER BY ?a",
-        );
-        let ages: Vec<i64> = rows
-            .iter()
-            .map(|r| match r[1].as_literal().unwrap() {
-                Literal::Integer(i) => *i,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(ages, vec![25, 30, 35]);
-        let rows = run(
-            &store,
-            "SELECT ?a WHERE { ?p <http://ex/age> ?a } ORDER BY DESC(?a)",
-        );
-        let first = rows[0][0].as_literal().unwrap();
-        assert_eq!(first, &Literal::Integer(35));
-    }
-
-    #[test]
-    fn offset_skips_rows() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?a WHERE { ?p <http://ex/age> ?a } ORDER BY ?a OFFSET 1 LIMIT 1",
-        );
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][0].as_literal().unwrap(), &Literal::Integer(30));
-    }
-
-    #[test]
-    fn order_by_string_values() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?n WHERE { ?p <http://ex/name> ?n } ORDER BY DESC(?n) LIMIT 1",
-        );
-        assert_eq!(
-            &*rows[0][0].as_literal().unwrap().lexical(store.interner()),
-            "Carol Thorn"
-        );
-    }
-
-    #[test]
-    fn select_star_projects_all() {
-        let store = demo_store();
-        let rows = run(&store, "SELECT * WHERE { ?p <http://ex/age> ?a } LIMIT 1");
-        assert_eq!(rows[0].len(), 2);
-    }
-
-    #[test]
-    fn optional_keeps_rows_without_match() {
-        let store = demo_store();
-        // Only alice and bob have outgoing knows edges.
-        let rows = run_opt(
-            &store,
-            "SELECT ?n ?f WHERE { ?p <http://ex/name> ?n .              OPTIONAL { ?p <http://ex/knows> ?f } } ORDER BY ?n",
-        );
-        assert_eq!(rows.len(), 3);
-        // Alice knows bob, Bob knows carol, Carol knows nobody (unbound).
-        assert!(rows[0][1].is_some(), "alice has a friend");
-        assert!(rows[1][1].is_some(), "bob has a friend");
-        assert!(rows[2][1].is_none(), "carol's ?f is unbound");
-    }
-
-    #[test]
-    fn optional_with_filter_scopes_to_group() {
-        let store = demo_store();
-        // The optional group's filter only prunes *extensions*; rows
-        // without a qualifying extension survive unbound.
-        let rows = run_opt(
-            &store,
-            "SELECT ?n ?fa WHERE { ?p <http://ex/name> ?n .              OPTIONAL { ?p <http://ex/knows> ?f . ?f <http://ex/age> ?fa . FILTER(?fa > 30) } }              ORDER BY ?n",
-        );
-        assert_eq!(rows.len(), 3);
-        // Only bob's friend (carol, 35) passes the filter.
-        assert!(rows[0][1].is_none(), "alice's friend bob is 25, filtered");
-        assert!(rows[1][1].is_some(), "bob's friend carol is 35");
-        assert!(rows[2][1].is_none());
-    }
-
-    #[test]
-    fn union_combines_branches() {
-        let store = demo_store();
-        let rows = run(
-            &store,
-            "SELECT ?p WHERE { ?p <http://ex/name> ?n .              { ?p <http://ex/age> 25 } UNION { ?p <http://ex/age> 35 } }",
-        );
-        assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn union_dedups_overlap() {
-        let store = demo_store();
-        // Both branches match the same row for bob.
-        let rows = run(
-            &store,
-            "SELECT ?p WHERE { { ?p <http://ex/age> 25 } UNION { ?p <http://ex/name> \"Bob Krane\" } }",
-        );
-        assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn nested_groups_rejected() {
-        assert!(parse("SELECT ?x WHERE { OPTIONAL { OPTIONAL { ?x <p> ?y } } }").is_err());
-        assert!(
-            parse("SELECT ?x WHERE { { ?x <p> ?y } }").is_err(),
-            "lone group needs UNION"
-        );
     }
 }

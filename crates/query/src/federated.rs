@@ -23,8 +23,11 @@
 //!   which sources were skipped so callers can tell a complete answer set
 //!   from a partial one.
 //!
+//! A single store is the degenerate federation: one source, no links, and
+//! answers with empty provenance.
+//!
 //! Implementation notes: patterns are evaluated one at a time in greedy
-//! most-bound-first order (the same strategy as the single-store executor);
+//! most-bound-first order;
 //! for each intermediate row, every source is probed — that is source
 //! selection by attempted match, which at in-memory latencies is as fast as
 //! maintaining predicate summaries. Entity translation tries the bound IRI
@@ -1359,5 +1362,306 @@ mod tests {
             ..FederationConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    /// The single-store case: one source, no links.
+    mod single_store {
+        use super::*;
+
+        fn demo_store() -> Store {
+            let interner = Interner::new_shared();
+            let mut store = Store::new(interner.clone());
+            let name = store.intern_iri("http://ex/name");
+            let age = store.intern_iri("http://ex/age");
+            let knows = store.intern_iri("http://ex/knows");
+            let people = [
+                ("alice", "Alice Prandel", 30i64),
+                ("bob", "Bob Krane", 25),
+                ("carol", "Carol Thorn", 35),
+            ];
+            for (id, nm, a) in people {
+                let s = store.intern_iri(&format!("http://ex/{id}"));
+                store.insert_literal(s, name, Literal::str(&interner, nm));
+                store.insert_literal(s, age, Literal::Integer(a));
+            }
+            let alice = store.intern_iri("http://ex/alice");
+            let bob = store.intern_iri("http://ex/bob");
+            let carol = store.intern_iri("http://ex/carol");
+            store.insert_iri(alice, knows, bob);
+            store.insert_iri(bob, knows, carol);
+            store
+        }
+
+        /// Runs `q` over `store` as a one-source federation and returns the
+        /// projected rows, asserting that no answer carries provenance: with
+        /// no second source there is nothing to link to.
+        fn run_opt(store: &Store, q: &str) -> Vec<Vec<Option<Term>>> {
+            FederatedEngine::new(vec![("s".into(), store)])
+                .execute_str(q)
+                .unwrap()
+                .into_iter()
+                .map(|a| {
+                    assert!(a.links.is_empty(), "single-store answer has links: {a:?}");
+                    a.row
+                })
+                .collect()
+        }
+
+        /// Like [`run_opt`], for queries whose cells are all bound.
+        fn run(store: &Store, q: &str) -> Vec<Vec<Term>> {
+            run_opt(store, q)
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|c| c.expect("bound in these tests"))
+                        .collect()
+                })
+                .collect()
+        }
+
+        #[test]
+        fn single_pattern() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?n WHERE { <http://ex/alice> <http://ex/name> ?n }",
+            );
+            assert_eq!(rows.len(), 1);
+            let lit = rows[0][0].as_literal().unwrap();
+            assert_eq!(&*lit.lexical(store.interner()), "Alice Prandel");
+        }
+
+        #[test]
+        fn join_across_patterns() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?n WHERE { <http://ex/alice> <http://ex/knows> ?f . ?f <http://ex/name> ?n }",
+            );
+            assert_eq!(rows.len(), 1);
+            assert_eq!(
+                &*rows[0][0].as_literal().unwrap().lexical(store.interner()),
+                "Bob Krane"
+            );
+        }
+
+        #[test]
+        fn two_hop_join() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?n WHERE { ?a <http://ex/knows> ?b . ?b <http://ex/knows> ?c . ?c <http://ex/name> ?n }",
+            );
+            assert_eq!(rows.len(), 1);
+            assert_eq!(
+                &*rows[0][0].as_literal().unwrap().lexical(store.interner()),
+                "Carol Thorn"
+            );
+        }
+
+        #[test]
+        fn numeric_filter() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?n WHERE { ?p <http://ex/name> ?n . ?p <http://ex/age> ?a . FILTER(?a >= 30) }",
+            );
+            assert_eq!(rows.len(), 2);
+        }
+
+        #[test]
+        fn string_filters() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?n WHERE { ?p <http://ex/name> ?n . FILTER(CONTAINS(?n, \"krane\")) }",
+            );
+            assert_eq!(rows.len(), 1);
+            let rows = run(
+                &store,
+                "SELECT ?n WHERE { ?p <http://ex/name> ?n . FILTER(STRSTARTS(?n, \"carol\")) }",
+            );
+            assert_eq!(rows.len(), 1);
+        }
+
+        #[test]
+        fn distinct_and_limit() {
+            let store = demo_store();
+            let rows = run(&store, "SELECT DISTINCT ?p WHERE { ?p ?pred ?o }");
+            assert_eq!(rows.len(), 3);
+            let rows = run(&store, "SELECT ?p WHERE { ?p ?pred ?o } LIMIT 2");
+            assert_eq!(rows.len(), 2);
+        }
+
+        #[test]
+        fn shared_variable_must_agree() {
+            let store = demo_store();
+            // ?x must be both a subject with age 30 and the object known by bob
+            // — no such entity (bob knows carol, who is 35).
+            let rows = run(
+                &store,
+                "SELECT ?x WHERE { <http://ex/bob> <http://ex/knows> ?x . ?x <http://ex/age> 30 }",
+            );
+            assert!(rows.is_empty());
+        }
+
+        #[test]
+        fn unknown_iri_yields_empty() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?o WHERE { <http://ex/ghost> <http://ex/name> ?o }",
+            );
+            assert!(rows.is_empty());
+        }
+
+        #[test]
+        fn literal_constant_object() {
+            let store = demo_store();
+            let rows = run(&store, "SELECT ?p WHERE { ?p <http://ex/age> 25 }");
+            assert_eq!(rows.len(), 1);
+            let iri = rows[0][0].as_iri().unwrap();
+            assert_eq!(&*store.iri_str(iri), "http://ex/bob");
+        }
+
+        #[test]
+        fn numeric_coercion_in_filters() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?p WHERE { ?p <http://ex/age> ?a . FILTER(?a = 25.0) }",
+            );
+            assert_eq!(rows.len(), 1);
+        }
+
+        #[test]
+        fn or_and_not_filters() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?p WHERE { ?p <http://ex/age> ?a . FILTER(?a < 26 || ?a > 34) }",
+            );
+            assert_eq!(rows.len(), 2);
+            let rows = run(
+                &store,
+                "SELECT ?p WHERE { ?p <http://ex/age> ?a . FILTER(!(?a < 26 || ?a > 34)) }",
+            );
+            assert_eq!(rows.len(), 1);
+        }
+
+        #[test]
+        fn order_by_sorts_rows() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?n ?a WHERE { ?p <http://ex/name> ?n . ?p <http://ex/age> ?a } ORDER BY ?a",
+            );
+            let ages: Vec<i64> = rows
+                .iter()
+                .map(|r| match r[1].as_literal().unwrap() {
+                    Literal::Integer(i) => *i,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(ages, vec![25, 30, 35]);
+            let rows = run(
+                &store,
+                "SELECT ?a WHERE { ?p <http://ex/age> ?a } ORDER BY DESC(?a)",
+            );
+            let first = rows[0][0].as_literal().unwrap();
+            assert_eq!(first, &Literal::Integer(35));
+        }
+
+        #[test]
+        fn offset_skips_rows() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?a WHERE { ?p <http://ex/age> ?a } ORDER BY ?a OFFSET 1 LIMIT 1",
+            );
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0][0].as_literal().unwrap(), &Literal::Integer(30));
+        }
+
+        #[test]
+        fn order_by_string_values() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?n WHERE { ?p <http://ex/name> ?n } ORDER BY DESC(?n) LIMIT 1",
+            );
+            assert_eq!(
+                &*rows[0][0].as_literal().unwrap().lexical(store.interner()),
+                "Carol Thorn"
+            );
+        }
+
+        #[test]
+        fn select_star_projects_all() {
+            let store = demo_store();
+            let rows = run(&store, "SELECT * WHERE { ?p <http://ex/age> ?a } LIMIT 1");
+            assert_eq!(rows[0].len(), 2);
+        }
+
+        #[test]
+        fn optional_keeps_rows_without_match() {
+            let store = demo_store();
+            // Only alice and bob have outgoing knows edges.
+            let rows = run_opt(
+                &store,
+                "SELECT ?n ?f WHERE { ?p <http://ex/name> ?n .              OPTIONAL { ?p <http://ex/knows> ?f } } ORDER BY ?n",
+            );
+            assert_eq!(rows.len(), 3);
+            // Alice knows bob, Bob knows carol, Carol knows nobody (unbound).
+            assert!(rows[0][1].is_some(), "alice has a friend");
+            assert!(rows[1][1].is_some(), "bob has a friend");
+            assert!(rows[2][1].is_none(), "carol's ?f is unbound");
+        }
+
+        #[test]
+        fn optional_with_filter_scopes_to_group() {
+            let store = demo_store();
+            // The optional group's filter only prunes *extensions*; rows
+            // without a qualifying extension survive unbound.
+            let rows = run_opt(
+                &store,
+                "SELECT ?n ?fa WHERE { ?p <http://ex/name> ?n .              OPTIONAL { ?p <http://ex/knows> ?f . ?f <http://ex/age> ?fa . FILTER(?fa > 30) } }              ORDER BY ?n",
+            );
+            assert_eq!(rows.len(), 3);
+            // Only bob's friend (carol, 35) passes the filter.
+            assert!(rows[0][1].is_none(), "alice's friend bob is 25, filtered");
+            assert!(rows[1][1].is_some(), "bob's friend carol is 35");
+            assert!(rows[2][1].is_none());
+        }
+
+        #[test]
+        fn union_combines_branches() {
+            let store = demo_store();
+            let rows = run(
+                &store,
+                "SELECT ?p WHERE { ?p <http://ex/name> ?n .              { ?p <http://ex/age> 25 } UNION { ?p <http://ex/age> 35 } }",
+            );
+            assert_eq!(rows.len(), 2);
+        }
+
+        #[test]
+        fn union_dedups_overlap() {
+            let store = demo_store();
+            // Both branches match the same row for bob.
+            let rows = run(
+                &store,
+                "SELECT ?p WHERE { { ?p <http://ex/age> 25 } UNION { ?p <http://ex/name> \"Bob Krane\" } }",
+            );
+            assert_eq!(rows.len(), 1);
+        }
+
+        #[test]
+        fn nested_groups_rejected() {
+            assert!(parse("SELECT ?x WHERE { OPTIONAL { OPTIONAL { ?x <p> ?y } } }").is_err());
+            assert!(
+                parse("SELECT ?x WHERE { { ?x <p> ?y } }").is_err(),
+                "lone group needs UNION"
+            );
+        }
     }
 }

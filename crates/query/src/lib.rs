@@ -10,11 +10,11 @@
 //!   paper's workloads need: basic graph patterns, `PREFIX`, `DISTINCT`,
 //!   `FILTER` (comparisons, `CONTAINS`, `STRSTARTS`, `&&`/`||`/`!`),
 //!   `LIMIT`;
-//! * [`CompiledQuery`] — single-store execution with greedy join ordering
-//!   over the store's indexes;
-//! * [`FederatedEngine`] — multi-source execution with `owl:sameAs`
-//!   entity translation and per-answer **link provenance**, the hook that
-//!   turns answer feedback into the link feedback ALEX consumes;
+//! * [`FederatedEngine`] — the one executor: greedy most-bound-first
+//!   joins over the sources' indexes, `owl:sameAs` entity translation,
+//!   and per-answer **link provenance**, the hook that turns answer
+//!   feedback into the link feedback ALEX consumes. A single store is a
+//!   federation of one source whose answers carry no links;
 //! * [`QuerySource`] / [`FaultySource`] — a failure model for federation
 //!   members: deterministic seed-driven fault injection, per-source
 //!   deadline budgets, bounded retries with jittered backoff, circuit
@@ -65,8 +65,7 @@ pub use ast::{
     Variable,
 };
 pub use exec::{
-    compare_terms, eval_filter, resolve_literal, term_eq, total_term_cmp, CompiledQuery, Row,
-    VarTable,
+    compare_terms, eval_filter, resolve_literal, term_eq, total_term_cmp, Row, VarTable,
 };
 pub use fault::{FaultConfig, FaultySource};
 pub use federated::{

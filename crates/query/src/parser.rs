@@ -88,7 +88,11 @@ impl<'a> Parser<'a> {
     fn eat_keyword(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let r = self.rest();
-        if r.len() >= kw.len() && r[..kw.len()].eq_ignore_ascii_case(kw) {
+        // `get` keeps a multi-byte character straddling the cut from
+        // panicking; a match means `kw.len()` is a char boundary.
+        if r.get(..kw.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(kw))
+        {
             // Keywords must not run into identifier characters.
             let after = r[kw.len()..].chars().next();
             if after.is_none_or(|c| !c.is_alphanumeric() && c != '_') {
@@ -97,6 +101,15 @@ impl<'a> Parser<'a> {
             }
         }
         false
+    }
+
+    /// Advances past the longest prefix whose characters satisfy `pred`
+    /// and returns it.
+    fn eat_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
+        let r = self.rest();
+        let n = r.find(|c: char| !pred(c)).unwrap_or(r.len());
+        self.pos += n;
+        &r[..n]
     }
 
     fn eat_symbol(&mut self, sym: &str) -> bool {
@@ -322,23 +335,12 @@ impl<'a> Parser<'a> {
 
     fn parse_prefix(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
-        let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-')
-        {
-            self.pos += 1;
-        }
-        let name = self.input[start..self.pos].to_owned();
+        let name = self
+            .eat_while(|c| c.is_alphanumeric() || c == '_' || c == '-')
+            .to_owned();
         self.expect_symbol(":")?;
         self.expect_symbol("<")?;
-        let iri_start = self.pos;
-        while self.rest().chars().next().is_some_and(|c| c != '>') {
-            self.pos += 1;
-        }
-        let iri = self.input[iri_start..self.pos].to_owned();
+        let iri = self.eat_while(|c| c != '>').to_owned();
         self.expect_symbol(">")?;
         self.prefixes.insert(name, iri);
         Ok(())
@@ -350,19 +352,11 @@ impl<'a> Parser<'a> {
             return Ok(None);
         }
         self.pos += 1;
-        let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
+        let name = self.eat_while(|c| c.is_alphanumeric() || c == '_');
+        if name.is_empty() {
             return Err(self.err("empty variable name"));
         }
-        Ok(Some(Variable(self.input[start..self.pos].to_owned())))
+        Ok(Some(Variable(name.to_owned())))
     }
 
     fn parse_term(&mut self) -> Result<PatternTerm, ParseError> {
@@ -373,11 +367,7 @@ impl<'a> Parser<'a> {
         let r = self.rest();
         if r.starts_with('<') {
             self.pos += 1;
-            let start = self.pos;
-            while self.rest().chars().next().is_some_and(|c| c != '>') {
-                self.pos += 1;
-            }
-            let iri = self.input[start..self.pos].to_owned();
+            let iri = self.eat_while(|c| c != '>').to_owned();
             self.expect_symbol(">")?;
             return Ok(PatternTerm::Iri(iri));
         }
@@ -398,30 +388,13 @@ impl<'a> Parser<'a> {
         }
         // prefixed name: prefix:local
         let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-')
-        {
-            self.pos += 1;
-        }
+        let prefix = self.eat_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
         if self.rest().starts_with(':') {
-            let prefix = self.input[start..self.pos].to_owned();
             self.pos += 1;
-            let local_start = self.pos;
-            while self
-                .rest()
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.')
-            {
-                self.pos += 1;
-            }
-            let local = &self.input[local_start..self.pos];
+            let local = self.eat_while(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.');
             let base = self
                 .prefixes
-                .get(&prefix)
+                .get(prefix)
                 .ok_or_else(|| self.err(format!("unknown prefix '{prefix}:'")))?;
             return Ok(PatternTerm::Iri(format!("{base}{local}")));
         }
@@ -456,16 +429,9 @@ impl<'a> Parser<'a> {
         }
         if self.rest().starts_with('@') {
             self.pos += 1;
-            let start = self.pos;
-            while self
-                .rest()
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '-')
-            {
-                self.pos += 1;
-            }
-            let lang = self.input[start..self.pos].to_ascii_lowercase();
+            let lang = self
+                .eat_while(|c| c.is_ascii_alphanumeric() || c == '-')
+                .to_ascii_lowercase();
             if lang.is_empty() {
                 return Err(self.err("empty language tag"));
             }
@@ -536,16 +502,7 @@ impl<'a> Parser<'a> {
 
     fn parse_unsigned(&mut self) -> Result<usize, ParseError> {
         self.skip_ws();
-        let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_digit())
-        {
-            self.pos += 1;
-        }
-        self.input[start..self.pos]
+        self.eat_while(|c| c.is_ascii_digit())
             .parse()
             .map_err(|_| self.err("expected unsigned integer"))
     }

@@ -119,7 +119,11 @@ impl<'a> TurtleParser<'a> {
     fn eat_keyword_ci(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let r = self.rest();
-        if r.len() >= kw.len() && r[..kw.len()].eq_ignore_ascii_case(kw) {
+        // `get` keeps a multi-byte character straddling the cut from
+        // panicking; a match means `kw.len()` is a char boundary.
+        if r.get(..kw.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(kw))
+        {
             let next = r[kw.len()..].chars().next();
             if next.is_none_or(|c| c.is_whitespace() || c == '<' || c == ':') {
                 self.pos += kw.len();

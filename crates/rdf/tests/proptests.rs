@@ -152,3 +152,76 @@ proptest! {
         prop_assert_eq!(interner.len(), first.len());
     }
 }
+
+/// Turtle keywords matched case-insensitively at a byte offset.
+const TURTLE_KEYWORDS: &[&str] = &["@prefix", "PREFIX", "@base", "BASE", "true", "false", "a"];
+
+/// Turtle syntax fragments, several carrying multi-byte characters.
+const TURTLE_TOKENS: &[&str] = &[
+    "<http://e/é>",
+    "ex:é",
+    "é:x",
+    "ex:",
+    "_:é",
+    "[",
+    "]",
+    ";",
+    ",",
+    ".",
+    "\"é\"",
+    "\"x\"@é",
+    "^^",
+    "42",
+    "1e3",
+    "-1.5",
+    "#é\n",
+];
+
+/// Two-, three- and four-byte UTF-8 characters, plus a combining mark.
+const WIDE: &[char] = &['é', 'ß', 'λ', '中', '€', '🦀', '\u{301}'];
+
+fn arb_turtle_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..TURTLE_KEYWORDS.len()).prop_map(|i| TURTLE_KEYWORDS[i].to_owned()),
+        (0..TURTLE_KEYWORDS.len(), 0usize..8, 0..WIDE.len()).prop_map(|(i, cut, w)| {
+            let kw = TURTLE_KEYWORDS[i];
+            format!("{}{}", &kw[..cut.min(kw.len())], WIDE[w])
+        }),
+        (0..TURTLE_TOKENS.len()).prop_map(|i| TURTLE_TOKENS[i].to_owned()),
+        (0..WIDE.len()).prop_map(|w| WIDE[w].to_string()),
+    ]
+}
+
+#[test]
+fn turtle_keyword_cut_by_multibyte_text_is_an_error() {
+    for text in [
+        "@prefié",
+        "PREFIé",
+        "BAé",
+        "<http://e/s> <http://e/p> trué .",
+    ] {
+        let mut store = Store::new(Interner::new_shared());
+        assert!(
+            alex_rdf::turtle::read_str(text, &mut store).is_err(),
+            "{text:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Keyword fragments mixed with multi-byte characters never make the
+    /// Turtle parser panic.
+    #[test]
+    fn turtle_never_panics_on_mixed_fragments(
+        parts in proptest::collection::vec((arb_turtle_fragment(), 0usize..3), 0..24)
+    ) {
+        let text: String = parts
+            .into_iter()
+            .map(|(frag, sep)| frag + ["", " ", "\n"][sep])
+            .collect();
+        let mut store = Store::new(Interner::new_shared());
+        let _ = alex_rdf::turtle::read_str(&text, &mut store);
+    }
+}

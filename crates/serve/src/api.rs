@@ -950,6 +950,23 @@ mod tests {
     }
 
     #[test]
+    fn multibyte_query_text_is_a_400_and_the_session_keeps_answering() {
+        let state = AppState::new(None);
+        let id = created_session(&state);
+        let path = format!("/sessions/{id}/query");
+        let bad = r#"{"query": "SELECT ?x WHERE { ?x ?p ?o } ééé"}"#;
+        let resp = route(&state, &request("POST", &path, bad)).1;
+        assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(String::from_utf8_lossy(&resp.body).contains("query error"));
+
+        let good = r#"{"query": "SELECT ?n WHERE { ?l <http://l/name> ?n }"}"#;
+        let resp = route(&state, &request("POST", &path, good)).1;
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let v = serde_json::parse_value_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        assert_eq!(v.get("count").unwrap().as_u64(), Some(4));
+    }
+
+    #[test]
     fn query_response_reports_federation_health() {
         let state = AppState::new(None);
         let id = created_session(&state);

@@ -294,28 +294,25 @@ pub fn compact(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `alex recover --state-dir DIR` — replay every session found in a
+/// `alex recover --state-dir DIR` — restore every session found in a
 /// serve state directory and print a per-session recovery report without
 /// starting a server. Useful after a crash to see what a restart would
 /// restore (the replay also repairs torn WAL tails in place, exactly as
 /// boot recovery does).
 pub fn recover(args: &[String]) -> Result<(), String> {
-    use alex_core::store::WalOptions;
-
     let dir = flag_value(args, "--state-dir").ok_or("recover needs --state-dir DIR")?;
     let root = std::path::Path::new(&dir);
     if !root.exists() {
         return Err(format!("state directory {dir} does not exist"));
     }
-    let outcome = alex_core::recover_state_dir(root, WalOptions::default(), 0)
-        .map_err(|e| format!("scanning {dir}: {e}"))?;
+    let outcome = alex_core::recover_state_dir(root).map_err(|e| format!("scanning {dir}: {e}"))?;
 
     if outcome.sessions.is_empty() && outcome.failures.is_empty() {
-        println!("no durable sessions found in {dir}");
+        println!("no sessions found in {dir}");
         return Ok(());
     }
     for recovered in &outcome.sessions {
-        let r = &recovered.report;
+        let (r, s) = (&recovered.report, &recovered.session);
         println!("session {}", r.id);
         println!("  checkpoint covers WAL seq ≤ {}", r.checkpoint_seq);
         println!(
@@ -332,7 +329,9 @@ pub fn recover(args: &[String]) -> Result<(), String> {
         }
         println!(
             "  state: {} episode(s), {} feedback item(s), {} candidate link(s)",
-            r.episodes, r.feedback_items, r.candidates
+            s.episodes,
+            s.feedback_items,
+            s.driver.candidate_links().len()
         );
         if r.policy_mismatch {
             println!("  WARNING: policy cross-check failed (RNG stream diverged on replay)");
@@ -353,7 +352,7 @@ pub fn recover(args: &[String]) -> Result<(), String> {
 /// [--request-timeout SECS] [--state-dir DIR] [--wal] [--fsync POLICY]
 /// [--fsync-every-n N] [--wal-segment-bytes N] [--compact-after N]` —
 /// run the HTTP curation server until SIGINT/SIGTERM, then drain and
-/// snapshot sessions.
+/// checkpoint sessions.
 pub fn serve(args: &[String]) -> Result<(), String> {
     let parse_usize = |flag: &str, default: usize| -> Result<usize, String> {
         flag_value(args, flag)
@@ -429,9 +428,9 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         match outcome {
             Ok(path) => alex_core::trace::diag(
                 "info",
-                &format!("saved session snapshot {}", path.display()),
+                &format!("saved session checkpoint {}", path.display()),
             ),
-            Err(e) => alex_core::trace::diag("error", &format!("snapshot error: {e}")),
+            Err(e) => alex_core::trace::diag("error", &format!("checkpoint error: {e}")),
         }
     }
     Ok(())

@@ -61,20 +61,21 @@ COMMANDS:
     serve    Run the interactive curation HTTP server (sessions, federated
              queries with provenance, answer feedback, /metrics, and —
              when ALEX_TRACE is on — /debug/trace/{request_id} and
-             /debug/events). Ctrl-C drains in-flight requests and, with
-             --state-dir, saves every session as a restorable snapshot.
-             --wal turns on per-session write-ahead logging: every
-             mutation is logged (and fsynced per --fsync) before it is
-             acknowledged, sessions are checkpointed every
-             --compact-after records, and a restart replays the WALs so
-             no acknowledged feedback is ever lost — even after SIGKILL.
+             /debug/events). With --state-dir every session lives in
+             DIR/session-<id>/: Ctrl-C drains in-flight requests and
+             checkpoints every session there; a restart restores them.
+             --wal logs (and fsyncs per --fsync) every mutation of new
+             sessions before acknowledging it, checkpoints the log every
+             --compact-after records, and replays it on restart, so no
+             acknowledged feedback is lost even after SIGKILL. A session
+             can ask for its own log with config.durability.wal.
     compact  Convert a text RDF dataset to the checksummed binary
              .alexdb snapshot once; later loads of the .alexdb skip the
              text parser entirely. Verifies the round trip before
              reporting success.
-    recover  Replay the durable sessions in a serve --state-dir and
-             print what a restart would restore (repairing torn WAL
-             tails in place), without starting a server.
+    recover  Restore the sessions in a serve --state-dir and print what
+             a restart would bring back (repairing torn WAL tails in
+             place), without starting a server.
     trace    Inspect flight-recorder output: pretty-print a JSONL event
              log as a span tree (--input), or run a generated scenario
              and replay the decision audit trail that produced one link

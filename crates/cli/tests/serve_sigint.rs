@@ -1,5 +1,6 @@
 //! `alex serve` process-level test: SIGINT drains the server and persists
-//! a restorable session snapshot, exactly what a deployment relies on.
+//! a restorable session checkpoint in `session-<id>/`, exactly what a
+//! deployment relies on.
 
 #![cfg(unix)]
 
@@ -86,8 +87,8 @@ fn sigint_drains_and_persists_snapshots() {
     };
     assert!(exit.success(), "non-zero exit after SIGINT: {exit:?}");
 
-    // The snapshot is on disk and parses back into a session.
-    let path = dir.join("session-s1.json");
+    // The checkpoint is on disk and parses back into a session.
+    let path = dir.join("session-s1").join("checkpoint.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("snapshot {} missing: {e}", path.display()));
     let snap = SessionSnapshot::from_json(&text).expect("snapshot parses");

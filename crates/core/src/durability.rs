@@ -12,10 +12,16 @@
 //!     wal/seg-*.wal     records appended since that checkpoint
 //! ```
 //!
+//! Every served session ends up in this layout: a session whose
+//! `config.durability.wal` is on gets its directory at creation and logs
+//! every mutation; any other session gets its directory when it is drained
+//! ([`LiveSession::persist`]). [`recover_state_dir`] boots both kinds.
+//!
 //! **The recovery invariant.** A mutation is acknowledged only after its
-//! WAL record is on disk (per the configured [`SyncPolicy`]). Recovery
+//! WAL record is on disk (per the session's fsync policy). Recovery
 //! restores the checkpoint, then replays WAL records `> applied_wal_seq`
-//! through the *same deterministic driver code* that handled them live.
+//! through [`LiveSession::replay`], the *same deterministic driver steps*
+//! [`LiveSession::feedback`] took live.
 //! Because replay stops at the first torn or out-of-sequence frame, the
 //! recovered state is always the state the session had after some prefix
 //! of its acknowledged mutations — never a corrupted or reordered one.
@@ -33,16 +39,15 @@
 //! session's did. A mismatch is reported (and diagnosed via
 //! [`trace::diag`]) but does not abort recovery.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use alex_rdf::{Interner, Link};
-use alex_store::{
-    read_store_file, write_store_file, AppendOutcome, SyncPolicy, Wal, WalOptions, WalRecord,
-    WalStats,
-};
+use alex_store::{read_store_file, write_store_file, AppendOutcome, Wal, WalOptions, WalRecord};
 use alex_trace::{self as trace, Payload};
 
-use crate::session::{LiveSession, SessionSnapshot};
+use crate::engine::PartitionEpisodeStats;
+use crate::session::{link_strings, LiveSession, SessionSnapshot};
 
 /// Checks a session id is safe to embed in a filesystem path. Ids come
 /// from HTTP clients, so this is a security boundary: anything that could
@@ -148,16 +153,6 @@ impl DurableSession {
         &self.dir
     }
 
-    /// The sequence number the next logged record will get.
-    pub fn next_seq(&self) -> u64 {
-        self.wal.next_seq()
-    }
-
-    /// WAL counters since this handle was opened.
-    pub fn stats(&self) -> WalStats {
-        self.wal.stats()
-    }
-
     /// Appends a batch of records (group commit: one fsync decision for
     /// the whole batch) and emits the matching trace events. On `Ok` the
     /// records are logged; only then may the mutation be acknowledged.
@@ -177,11 +172,6 @@ impl DurableSession {
             });
         }
         Ok(out)
-    }
-
-    /// Forces logged records to stable storage regardless of the policy.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.wal.sync()
     }
 
     /// Whether enough records accumulated since the last checkpoint that
@@ -212,6 +202,242 @@ impl DurableSession {
     }
 }
 
+/// WAL traffic one session operation caused, for process-wide counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalTally {
+    /// Records appended.
+    pub records: u64,
+    /// Frame bytes written.
+    pub bytes: u64,
+    /// Append batches that fsynced.
+    pub fsyncs: u64,
+}
+
+/// What one feedback episode did, for the caller's response.
+#[derive(Clone, Debug)]
+pub struct FeedbackOutcome {
+    /// The episode's exploration counters, summed over partitions.
+    pub stats: PartitionEpisodeStats,
+    /// Candidate links before the batch was applied.
+    pub candidates_before: usize,
+    /// The candidate set after the episode.
+    pub candidates: HashSet<Link>,
+    /// Episodes the session has completed, this one included.
+    pub episode: u64,
+    /// What the episode appended to the log.
+    pub wal: WalTally,
+}
+
+/// The session write protocol. Every mutation goes through these methods,
+/// so a served session and WAL recovery apply the same steps in the same
+/// order. A session *logs* when it has a directory
+/// and its `config.durability.wal` is on; it then appends every mutation
+/// to its WAL before applying it (log-before-ack).
+impl LiveSession {
+    /// Mutable access to the on-disk storage, for callers that log
+    /// records of their own (the crash harness does).
+    pub fn durable_mut(&mut self) -> Option<&mut DurableSession> {
+        self.durable.as_mut()
+    }
+
+    /// Whether mutations are logged before they are applied.
+    pub fn logs(&self) -> bool {
+        self.durable.is_some() && self.driver.config().durability.wal
+    }
+
+    fn log(&mut self, records: &[WalRecord], tally: &mut WalTally) -> std::io::Result<()> {
+        if let Some(durable) = self.durable.as_mut() {
+            let out = durable.log(records)?;
+            tally.records += records.len() as u64;
+            tally.bytes += out.bytes;
+            tally.fsyncs += u64::from(out.synced);
+        }
+        Ok(())
+    }
+
+    /// Runs one feedback episode over `batch`. A logging session makes
+    /// two group commits: the Feedback records before anything is
+    /// applied, then the episode's audit trail (LinkAdded/LinkRemoved),
+    /// its EpisodeEnd marker and one PolicyDelta cross-check per
+    /// partition; it then compacts when enough records accumulated. An
+    /// error means the batch must not be acknowledged.
+    pub fn feedback(&mut self, batch: &[(Link, bool)]) -> std::io::Result<FeedbackOutcome> {
+        let logs = self.logs();
+        let mut wal = WalTally::default();
+        if logs {
+            let records: Vec<WalRecord> = batch
+                .iter()
+                .map(|&(link, positive)| {
+                    let (left, right) = link_strings(link, &self.left, &self.right);
+                    WalRecord::Feedback {
+                        left,
+                        right,
+                        positive,
+                    }
+                })
+                .collect();
+            self.log(&records, &mut wal)?;
+        }
+
+        let before = self.driver.candidate_links();
+        for &(link, positive) in batch {
+            self.driver.process_feedback(link, positive);
+        }
+        let stats = self.driver.end_episode();
+        self.episodes += 1;
+        self.feedback_items += batch.len() as u64;
+        let after = self.driver.candidate_links();
+
+        if logs {
+            let mut records: Vec<WalRecord> = Vec::new();
+            for &link in after.difference(&before) {
+                let (left, right) = link_strings(link, &self.left, &self.right);
+                records.push(WalRecord::LinkAdded { left, right });
+            }
+            for &link in before.difference(&after) {
+                let (left, right) = link_strings(link, &self.left, &self.right);
+                records.push(WalRecord::LinkRemoved {
+                    left,
+                    right,
+                    reason: "episode".to_string(),
+                });
+            }
+            records.push(WalRecord::EpisodeEnd {
+                episode: self.episodes,
+                feedback_items: self.feedback_items,
+            });
+            for (partition, engine) in self.driver.engines().iter().enumerate() {
+                records.push(WalRecord::PolicyDelta {
+                    partition: partition as u64,
+                    rng: engine.rng_state(),
+                    q_entries: engine.q_table().len() as u64,
+                });
+            }
+            self.log(&records, &mut wal)?;
+            if self
+                .durable
+                .as_ref()
+                .is_some_and(DurableSession::should_compact)
+            {
+                // Not fatal: the WAL still holds everything.
+                if let Err(e) = self.checkpoint() {
+                    trace::diag("error", &format!("compaction failed: {e}"));
+                }
+            }
+        }
+        Ok(FeedbackOutcome {
+            stats,
+            candidates_before: before.len(),
+            candidates: after,
+            episode: self.episodes,
+            wal,
+        })
+    }
+
+    /// Records the outcome of one federated query: `skipped_sources > 0`
+    /// means the answer set may be partial. A logging session logs the
+    /// tally before counting it.
+    pub fn record_query_outcome(&mut self, skipped_sources: usize) -> std::io::Result<WalTally> {
+        let mut wal = WalTally::default();
+        if skipped_sources > 0 {
+            if self.logs() {
+                let record = WalRecord::Degraded {
+                    source_skips: skipped_sources as u64,
+                };
+                self.log(&[record], &mut wal)?;
+            }
+            self.degraded_queries += 1;
+            self.source_skips += skipped_sources as u64;
+        }
+        Ok(wal)
+    }
+
+    /// Replays one logged record through the same deterministic steps the
+    /// live methods take. `Err` describes where replay and log disagree:
+    /// episode counters (the log's values are adopted) or a failed
+    /// [`WalRecord::PolicyDelta`] cross-check (the replayed RNG stream
+    /// diverged from the logged one).
+    pub fn replay(&mut self, record: &WalRecord) -> Result<(), String> {
+        match record {
+            WalRecord::Feedback {
+                left,
+                right,
+                positive,
+            } => {
+                let link = Link::new(self.left.intern_iri(left), self.right.intern_iri(right));
+                self.driver.process_feedback(link, *positive);
+                self.feedback_items += 1;
+            }
+            WalRecord::EpisodeEnd {
+                episode,
+                feedback_items,
+            } => {
+                self.driver.end_episode();
+                self.episodes += 1;
+                if self.episodes != *episode || self.feedback_items != *feedback_items {
+                    let why = format!(
+                        "episode counters diverged on replay (log says episode {episode} \
+                         after {feedback_items} items, replay reached episode {} after {})",
+                        self.episodes, self.feedback_items
+                    );
+                    self.episodes = *episode;
+                    self.feedback_items = *feedback_items;
+                    return Err(why);
+                }
+            }
+            WalRecord::Degraded { source_skips } => {
+                self.degraded_queries += 1;
+                self.source_skips += source_skips;
+            }
+            // Audit records: the driver re-derives link additions and
+            // removals deterministically from the feedback stream.
+            WalRecord::LinkAdded { .. } | WalRecord::LinkRemoved { .. } => {}
+            WalRecord::PolicyDelta { partition, rng, .. } => {
+                let matches = usize::try_from(*partition)
+                    .ok()
+                    .and_then(|p| self.driver.engines().get(p))
+                    .is_some_and(|e| e.rng_state() == *rng);
+                if !matches {
+                    return Err(format!(
+                        "policy cross-check failed for partition {partition} — \
+                         replayed RNG stream diverged from the logged one"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checkpoints the session into `<root>/session-<id>/`. A session
+    /// without a directory gets one first ([`DurableSession::create`]:
+    /// dataset snapshots and an empty WAL, with the WAL settings of its
+    /// own `config.durability`). Creating a logging session and draining
+    /// any session both end here. Returns the checkpoint's path.
+    pub fn persist(&mut self, root: &Path, id: &str) -> Result<PathBuf, String> {
+        if self.durable.is_none() {
+            let config = &self.driver.config().durability;
+            let opts = config.to_options()?;
+            let created =
+                DurableSession::create(root, id, self, opts, config.compact_after_records)?;
+            self.durable = Some(created);
+        }
+        self.checkpoint()
+    }
+
+    /// Folds the session's state into a fresh checkpoint in its directory.
+    fn checkpoint(&mut self) -> Result<PathBuf, String> {
+        let mut snap = self.snapshot();
+        let durable = self
+            .durable
+            .as_mut()
+            .ok_or("the session has no directory")?;
+        durable
+            .checkpoint(&mut snap)
+            .map_err(|e| format!("checkpointing session {}: {e}", durable.id()))?;
+        Ok(durable.dir().join("checkpoint.json"))
+    }
+}
+
 /// What recovering one session found, for reports and `/metrics`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionRecoveryReport {
@@ -230,12 +456,6 @@ pub struct SessionRecoveryReport {
     pub dropped_segments: u64,
     /// Why WAL scanning stopped early, if it did.
     pub damage: Option<String>,
-    /// Episodes the recovered session has completed.
-    pub episodes: u64,
-    /// Feedback items the recovered session has processed.
-    pub feedback_items: u64,
-    /// Candidate links after recovery.
-    pub candidates: u64,
     /// Whether a [`WalRecord::PolicyDelta`] cross-check failed (the
     /// replayed RNG stream diverged from the logged one).
     pub policy_mismatch: bool,
@@ -243,13 +463,10 @@ pub struct SessionRecoveryReport {
 
 /// One successfully recovered session, ready to serve requests.
 pub struct RecoveredSession {
-    /// The session id (parsed from the directory name).
-    pub id: String,
-    /// The rebuilt live state.
+    /// The rebuilt live state, holding its reopened directory and
+    /// positioned to keep logging.
     pub session: LiveSession,
-    /// The reopened durable storage, positioned to keep logging.
-    pub durable: DurableSession,
-    /// What recovery found.
+    /// What recovery found; `report.id` is the session id.
     pub report: SessionRecoveryReport,
 }
 
@@ -266,13 +483,10 @@ pub struct RecoveryOutcome {
 /// Scans `root` for `session-<id>/` directories and recovers each one:
 /// dataset snapshots are decoded into a fresh shared interner, the
 /// checkpoint restores the driver and its learned policy, and the WAL
-/// tail replays through the deterministic feedback path. Torn WAL tails
-/// are truncated in place (the logs are reopened for writing).
-pub fn recover_state_dir(
-    root: &Path,
-    opts: WalOptions,
-    compact_after: u64,
-) -> std::io::Result<RecoveryOutcome> {
+/// tail replays through [`LiveSession::replay`]. Torn WAL tails are
+/// truncated in place (the logs are reopened for writing, with the WAL
+/// settings of each session's own checkpointed `config.durability`).
+pub fn recover_state_dir(root: &Path) -> std::io::Result<RecoveryOutcome> {
     let mut outcome = RecoveryOutcome {
         sessions: Vec::new(),
         failures: Vec::new(),
@@ -297,7 +511,7 @@ pub fn recover_state_dir(
     }
     ids.sort();
     for id in ids {
-        match recover_session(root, &id, opts, compact_after) {
+        match recover_session(root, &id) {
             Ok(recovered) => outcome.sessions.push(recovered),
             Err(why) => {
                 trace::diag(
@@ -312,12 +526,7 @@ pub fn recover_state_dir(
 }
 
 /// Rebuilds one session from its directory. See [`recover_state_dir`].
-pub fn recover_session(
-    root: &Path,
-    id: &str,
-    opts: WalOptions,
-    compact_after: u64,
-) -> Result<RecoveredSession, String> {
+pub fn recover_session(root: &Path, id: &str) -> Result<RecoveredSession, String> {
     validate_session_id(id)?;
     let dir = session_dir(root, id);
     let checkpoint_path = dir.join("checkpoint.json");
@@ -338,6 +547,10 @@ pub fn recover_session(
         .map_err(|e| format!("reading checkpoint: {e}"))?;
     let snapshot =
         SessionSnapshot::from_json(&checkpoint_text).map_err(|e| format!("checkpoint: {e}"))?;
+    let durability = &snapshot.config.durability;
+    let opts = durability
+        .to_options()
+        .map_err(|e| format!("checkpoint durability config: {e}"))?;
     let driver = snapshot
         .restore(&left, &right)
         .map_err(|e| format!("restoring driver: {e}"))?;
@@ -357,9 +570,6 @@ pub fn recover_session(
         truncated_bytes: wal_report.truncated_bytes,
         dropped_segments: wal_report.dropped_segments,
         damage: wal_report.damage.clone(),
-        episodes: 0,
-        feedback_items: 0,
-        candidates: 0,
         policy_mismatch: false,
     };
     if let Some(damage) = &wal_report.damage {
@@ -378,7 +588,12 @@ pub fn recover_session(
             report.skipped_records += 1;
             continue;
         }
-        apply_record(&mut session, &sequenced.record, id, &mut report);
+        if let Err(why) = session.replay(&sequenced.record) {
+            trace::diag("warn", &format!("session {id}: {why}"));
+            if matches!(sequenced.record, WalRecord::PolicyDelta { .. }) {
+                report.policy_mismatch = true;
+            }
+        }
         report.replayed_records += 1;
     }
 
@@ -388,102 +603,15 @@ pub fn recover_session(
         truncated_bytes: report.truncated_bytes,
     });
 
-    report.episodes = session.episodes;
-    report.feedback_items = session.feedback_items;
-    report.candidates = session.driver.candidate_links().len() as u64;
-
-    let durable = DurableSession {
+    session.durable = Some(DurableSession {
         id: id.to_string(),
         dir,
         wal,
         // Everything replayed is not yet in a checkpoint.
         records_since_checkpoint: report.replayed_records,
-        compact_after,
-    };
-    Ok(RecoveredSession {
-        id: id.to_string(),
-        session,
-        durable,
-        report,
-    })
-}
-
-/// Replays one WAL record into a live session — the same deterministic
-/// path the live request handlers use.
-fn apply_record(
-    session: &mut LiveSession,
-    record: &WalRecord,
-    id: &str,
-    report: &mut SessionRecoveryReport,
-) {
-    match record {
-        WalRecord::Feedback {
-            left,
-            right,
-            positive,
-        } => {
-            let link = Link::new(
-                session.left.intern_iri(left),
-                session.right.intern_iri(right),
-            );
-            session.driver.process_feedback(link, *positive);
-            session.feedback_items += 1;
-        }
-        WalRecord::EpisodeEnd {
-            episode,
-            feedback_items,
-        } => {
-            session.driver.end_episode();
-            session.episodes += 1;
-            if session.episodes != *episode || session.feedback_items != *feedback_items {
-                trace::diag(
-                    "warn",
-                    &format!(
-                        "session {id}: episode counters diverged on replay \
-                         (log says episode {episode} after {feedback_items} items, \
-                         replay reached episode {} after {})",
-                        session.episodes, session.feedback_items
-                    ),
-                );
-                session.episodes = *episode;
-                session.feedback_items = *feedback_items;
-            }
-        }
-        WalRecord::Degraded { source_skips } => {
-            session.degraded_queries += 1;
-            session.source_skips += source_skips;
-        }
-        // Audit records: the driver re-derives link additions/removals
-        // deterministically from the feedback stream.
-        WalRecord::LinkAdded { .. } | WalRecord::LinkRemoved { .. } => {}
-        WalRecord::PolicyDelta { partition, rng, .. } => {
-            let engines = session.driver.engines();
-            let matches = usize::try_from(*partition)
-                .ok()
-                .and_then(|p| engines.get(p))
-                .map(|e| e.rng_state() == *rng);
-            if matches != Some(true) {
-                report.policy_mismatch = true;
-                trace::diag(
-                    "warn",
-                    &format!(
-                        "session {id}: policy cross-check failed for partition {partition} — \
-                         replayed RNG stream diverged from the logged one"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// A convenience for [`crate::AlexConfig`]-level wiring: the WAL options a
-/// `DurabilityConfig` resolves to when valid, or the defaults (used by
-/// read paths that must not fail on a bad config).
-pub fn wal_options_or_default(result: Result<WalOptions, String>) -> WalOptions {
-    result.unwrap_or(WalOptions {
-        sync: SyncPolicy::Always,
-        segment_bytes: 1 << 20,
-    })
+        compact_after: durability.compact_after_records,
+    });
+    Ok(RecoveredSession { session, report })
 }
 
 /// Shared scaffolding for the durability unit tests below. The
@@ -617,11 +745,11 @@ mod tests {
         drop(durable);
 
         // Recover and compare against the live state, link for link.
-        let outcome = recover_state_dir(&root, WalOptions::default(), 0).unwrap();
+        let outcome = recover_state_dir(&root).unwrap();
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
         assert_eq!(outcome.sessions.len(), 1);
         let recovered = &outcome.sessions[0];
-        assert_eq!(recovered.id, "s1");
+        assert_eq!(recovered.report.id, "s1");
         assert_eq!(recovered.report.replayed_records, 6);
         assert!(!recovered.report.policy_mismatch);
         assert_eq!(recovered.session.episodes, 1);
@@ -689,7 +817,7 @@ mod tests {
 
         // After compaction the WAL suffix is empty; the checkpoint alone
         // carries the state.
-        let outcome = recover_state_dir(&root, WalOptions::default(), 3).unwrap();
+        let outcome = recover_state_dir(&root).unwrap();
         let recovered = &outcome.sessions[0];
         assert_eq!(recovered.report.replayed_records, 0);
         assert_eq!(recovered.report.checkpoint_seq, 4);
@@ -704,7 +832,7 @@ mod tests {
         // Create writes the snapshots but the checkpoint never lands.
         let _ =
             DurableSession::create(&root, "halfway", &session, WalOptions::default(), 0).unwrap();
-        let outcome = recover_state_dir(&root, WalOptions::default(), 0).unwrap();
+        let outcome = recover_state_dir(&root).unwrap();
         assert!(outcome.sessions.is_empty());
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].0, "halfway");
@@ -724,15 +852,18 @@ mod tests {
         // Log + apply two items, then write the checkpoint *without*
         // truncating the WAL — simulating a crash between the two steps
         // of `checkpoint()`.
+        let mut last_seq = 0;
         for &link in links.iter().skip(3).take(2) {
-            durable
+            last_seq = durable
                 .log(&[feedback_record(&session, link, true)])
+                .unwrap()
+                .last_seq;
+            session
+                .replay(&feedback_record(&session, link, true))
                 .unwrap();
-            session.driver.process_feedback(link, true);
-            session.feedback_items += 1;
         }
         let mut snap = session.snapshot();
-        snap.applied_wal_seq = durable.next_seq() - 1;
+        snap.applied_wal_seq = last_seq;
         write_atomic(
             &durable.dir().join("checkpoint.json"),
             snap.to_json().as_bytes(),
@@ -740,7 +871,7 @@ mod tests {
         .unwrap();
         drop(durable);
 
-        let outcome = recover_state_dir(&root, WalOptions::default(), 0).unwrap();
+        let outcome = recover_state_dir(&root).unwrap();
         let recovered = &outcome.sessions[0];
         assert_eq!(recovered.report.skipped_records, 2, "covered by checkpoint");
         assert_eq!(recovered.report.replayed_records, 0);

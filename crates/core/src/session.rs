@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::AlexConfig;
 use crate::driver::AlexDriver;
+use crate::durability::DurableSession;
 use crate::engine::PartitionEngine;
 use crate::feature::FeatureKey;
 
@@ -124,7 +125,7 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-fn link_strings(l: Link, left: &Store, right: &Store) -> (String, String) {
+pub(crate) fn link_strings(l: Link, left: &Store, right: &Store) -> (String, String) {
     (
         left.iri_str(l.left).to_string(),
         right.iri_str(l.right).to_string(),
@@ -184,26 +185,36 @@ fn capture_policy(
     }
 }
 
+/// The candidate set and the blacklist as sorted, deduplicated IRI
+/// pairs: the link part of a snapshot, without the learned policy.
+fn link_lists(driver: &AlexDriver, left: &Store, right: &Store) -> (LinkList, LinkList) {
+    let mut candidates: Vec<(String, String)> = driver
+        .candidate_links()
+        .into_iter()
+        .map(|l| link_strings(l, left, right))
+        .collect();
+    candidates.sort();
+    let mut blacklist: Vec<(String, String)> = driver
+        .engines()
+        .iter()
+        .flat_map(|e| e.blacklist().iter())
+        .map(|l| link_strings(*l, left, right))
+        .collect();
+    blacklist.sort();
+    blacklist.dedup();
+    (candidates, blacklist)
+}
+
+/// Links as sorted `(left IRI, right IRI)` pairs.
+pub type LinkList = Vec<(String, String)>;
+
 impl SessionSnapshot {
     /// Captures the current state of a driver. `left`/`right` resolve ids
     /// back to IRIs and must be the stores the driver was built over.
     /// Degraded-query counters start at zero; [`LiveSession::snapshot`]
     /// fills them from its own bookkeeping.
     pub fn capture(driver: &AlexDriver, left: &Store, right: &Store) -> Self {
-        let mut candidates: Vec<(String, String)> = driver
-            .candidate_links()
-            .into_iter()
-            .map(|l| link_strings(l, left, right))
-            .collect();
-        candidates.sort();
-        let mut blacklist: Vec<(String, String)> = driver
-            .engines()
-            .iter()
-            .flat_map(|e| e.blacklist().iter())
-            .map(|l| link_strings(*l, left, right))
-            .collect();
-        blacklist.sort();
-        blacklist.dedup();
+        let (candidates, blacklist) = link_lists(driver, left, right);
         let policy = driver
             .engines()
             .iter()
@@ -306,6 +317,9 @@ pub struct LiveSession {
     pub degraded_queries: u64,
     /// Total skipped-source incidents across degraded queries.
     pub source_skips: u64,
+    /// The session's directory (dataset snapshots, checkpoint, WAL) once
+    /// it has one; see the write protocol in [`crate::durability`].
+    pub(crate) durable: Option<DurableSession>,
 }
 
 impl LiveSession {
@@ -319,16 +333,15 @@ impl LiveSession {
             feedback_items: 0,
             degraded_queries: 0,
             source_skips: 0,
+            durable: None,
         }
     }
 
-    /// Records the outcome of one federated query: `skipped_sources > 0`
-    /// means the answer set may be partial.
-    pub fn record_query_outcome(&mut self, skipped_sources: usize) {
-        if skipped_sources > 0 {
-            self.degraded_queries += 1;
-            self.source_skips += skipped_sources as u64;
-        }
+    /// The current candidate set and blacklist as sorted IRI pairs — the
+    /// same lists [`LiveSession::snapshot`] captures, without capturing
+    /// the learned policy.
+    pub fn link_lists(&self) -> (LinkList, LinkList) {
+        link_lists(&self.driver, &self.left, &self.right)
     }
 
     /// Captures a persistable snapshot of the current curation state,
@@ -356,7 +369,9 @@ impl LiveSession {
 ///
 /// Queries only need shared access (the federated engine borrows the
 /// stores and the current candidate set), so many can run concurrently;
-/// feedback mutates the driver and takes the write lock. `parking_lot`'s
+/// feedback mutates the driver and takes the write lock. The session owns
+/// its on-disk storage, so this is its only lock: logging and applying a
+/// mutation happen under the same write guard. `parking_lot`'s
 /// lock is used for its fairness under the reader-heavy pattern and
 /// because it cannot poison: a panicking handler thread must not wedge
 /// every later request on the same session.
@@ -537,9 +552,9 @@ mod tests {
         let initial: Vec<Link> = truth.iter().take(2).copied().collect();
         let driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
         let mut session = LiveSession::new(left, right, driver);
-        session.record_query_outcome(0); // clean query: not degraded
-        session.record_query_outcome(2);
-        session.record_query_outcome(1);
+        session.record_query_outcome(0).unwrap(); // clean query: not degraded
+        session.record_query_outcome(2).unwrap();
+        session.record_query_outcome(1).unwrap();
         assert_eq!(session.degraded_queries, 2);
         assert_eq!(session.source_skips, 3);
 

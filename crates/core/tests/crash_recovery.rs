@@ -2,8 +2,8 @@
 //! prove recovery lands on an exact prefix of the acknowledged history.
 //!
 //! The harness scripts a deterministic curation session, logging every
-//! mutation before applying it (the same log-before-ack discipline the
-//! server uses) and capturing an oracle state after each acknowledged
+//! mutation before applying it through the library's replay step (the
+//! same log-before-ack discipline the server uses) and capturing an oracle state after each acknowledged
 //! record. It then replays crashes against copies of the session
 //! directory: truncating the log mid-frame (a torn write) or flipping a
 //! single byte (media corruption). For every injected fault it asserts:
@@ -120,31 +120,6 @@ fn capture(session: &LiveSession) -> OracleState {
             .iter()
             .map(|e| e.rng_state())
             .collect(),
-    }
-}
-
-/// Applies one scripted record to a live session, exactly as the server
-/// request handlers (and WAL replay) do.
-fn apply(session: &mut LiveSession, record: &WalRecord) {
-    match record {
-        WalRecord::Feedback {
-            left,
-            right,
-            positive,
-        } => {
-            let link = Link::new(
-                session.left.intern_iri(left),
-                session.right.intern_iri(right),
-            );
-            session.driver.process_feedback(link, *positive);
-            session.feedback_items += 1;
-        }
-        WalRecord::EpisodeEnd { .. } => {
-            session.driver.end_episode();
-            session.episodes += 1;
-        }
-        // Audit-only records; no live-state effect.
-        _ => {}
     }
 }
 
@@ -276,7 +251,7 @@ fn recovery_is_an_exact_prefix_of_acknowledged_history() {
     let mut acked_end = Vec::new();
     for record in &script {
         durable.log(std::slice::from_ref(record)).unwrap();
-        apply(&mut session, record);
+        session.replay(record).unwrap();
         oracle.push(capture(&session));
         let total: u64 = wal_segments(durable.dir()).iter().map(|(_, l)| l).sum();
         acked_end.push(total);
@@ -306,7 +281,7 @@ fn recovery_is_an_exact_prefix_of_acknowledged_history() {
         // and everything after it; records fully before it survive.
         let expected_n = acked_end.iter().filter(|&&end| end <= offset).count();
 
-        let outcome = recover_state_dir(&root, opts, 0).unwrap();
+        let outcome = recover_state_dir(&root).unwrap();
         assert!(
             outcome.failures.is_empty(),
             "seed {seed:#x} trial {trial}: recovery refused: {:?}",
@@ -331,12 +306,14 @@ fn recovery_is_an_exact_prefix_of_acknowledged_history() {
         // Continued curation: the lost suffix re-applied to the
         // recovered session must land exactly where the uninterrupted
         // run did — and the reopened log must accept new records.
+        let session = &mut recovered.session;
         for record in &script[expected_n..] {
-            recovered.durable.log(std::slice::from_ref(record)).unwrap();
-            apply(&mut recovered.session, record);
+            let durable = session.durable_mut().expect("recovered with its directory");
+            durable.log(std::slice::from_ref(record)).unwrap();
+            session.replay(record).unwrap();
         }
         assert_eq!(
-            capture(&recovered.session),
+            capture(session),
             final_state,
             "seed {seed:#x} trial {trial}: continued curation diverged"
         );

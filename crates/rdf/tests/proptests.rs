@@ -225,3 +225,101 @@ proptest! {
         let _ = alex_rdf::turtle::read_str(&text, &mut store);
     }
 }
+
+/// Statement parts, valid entries first: `.0` of each pool is how many
+/// of its leading entries are valid. The rest are malformed (cut IRIs,
+/// bad escapes, out-of-range typed values, multi-byte language tags).
+const NT_SUBJECTS: (usize, &[&str]) = (2, &["<http://e/s>", "_:b0", "<http://e/", "\"x\"", "_:é"]);
+const NT_PREDICATES: (usize, &[&str]) = (2, &["<http://e/p>", "<http://e/é>", "_:b0", "<>"]);
+const NT_OBJECTS: (usize, &[&str]) = (
+    5,
+    &[
+        "<http://e/o>",
+        "\"x\"",
+        "\"é\"@en",
+        "\"\\u00e9\\U0001F980\"",
+        "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+        "\"x\"@é",
+        "\"\\uD800\"",
+        "\"\\U0011FFFF\"",
+        "\"\\u12\"",
+        "\"\\q\"",
+        "\"é",
+        "\"-9999999999999999999999\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+        "\"1e999\"^^<http://www.w3.org/2001/XMLSchema#double>",
+        "\"2015-13-45\"^^<http://www.w3.org/2001/XMLSchema#date>",
+        "\"x\"^^",
+    ],
+);
+const NT_ENDS: (usize, &[&str]) = (2, &[" .", " . # é", ".", "", " . .", "\t."]);
+
+/// Picks from a pool: a valid entry unless `hostile`.
+fn nt_part(pool: (usize, &[&'static str]), hostile: bool, pick: usize) -> &'static str {
+    let n = if hostile { pool.1.len() } else { pool.0 };
+    pool.1[pick % n]
+}
+
+/// N-Triples documents of statements, one in four drawn from the
+/// malformed parts too, and optionally one character replaced by a
+/// multi-byte one: the parser gets past its first statements and meets
+/// hostile input deep in the document.
+fn arb_ntriples_doc() -> impl Strategy<Value = String> {
+    (
+        proptest::collection::vec(
+            (
+                0usize..4,
+                (
+                    any::<usize>(),
+                    any::<usize>(),
+                    any::<usize>(),
+                    any::<usize>(),
+                ),
+            ),
+            0..8,
+        ),
+        (any::<bool>(), 0usize..4, any::<usize>(), 0..WIDE.len()),
+    )
+        .prop_map(|(lines, (crlf, damage, at, w))| {
+            let lines: Vec<String> = lines
+                .iter()
+                .map(|&(hostile, (s, p, o, e))| {
+                    let part = |pool, pick| nt_part(pool, hostile == 0, pick);
+                    format!(
+                        "{} {} {}{}",
+                        part(NT_SUBJECTS, s),
+                        part(NT_PREDICATES, p),
+                        part(NT_OBJECTS, o),
+                        part(NT_ENDS, e)
+                    )
+                })
+                .collect();
+            let mut text = lines.join(if crlf { "\r\n" } else { "\n" });
+            if damage == 0 && !text.is_empty() {
+                let (i, c) = text.char_indices().nth(at % text.chars().count()).unwrap();
+                text.replace_range(i..i + c.len_utf8(), &WIDE[w].to_string());
+            }
+            text
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary bytes (decoded lossily, as text arrives) never make the
+    /// N-Triples parser panic.
+    #[test]
+    fn ntriples_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256)
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        let mut store = Store::new(Interner::new_shared());
+        let _ = ntriples::read_str(&text, &mut store);
+    }
+
+    /// Documents of hostile statements never make the parser panic.
+    #[test]
+    fn ntriples_never_panics_on_hostile_statements(text in arb_ntriples_doc()) {
+        let mut store = Store::new(Interner::new_shared());
+        let _ = ntriples::read_str(&text, &mut store);
+    }
+}

@@ -17,24 +17,17 @@
 
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::Arc;
 
-use alex_core::store::{AppendOutcome, WalRecord};
 use alex_core::trace;
 use alex_core::{
-    AlexConfig, AlexDriver, DurabilityConfig, DurableSession, LiveSession, Quality, SessionHandle,
+    AlexConfig, AlexDriver, DurabilityConfig, LiveSession, Quality, SessionHandle, WalTally,
 };
 use alex_query::FederatedEngine;
 use alex_rdf::{ntriples, turtle, Interner, Link, Store, Term};
-use parking_lot::Mutex;
 use serde_json::{Number, Value};
 
 use crate::http::{Request, Response};
 use crate::state::{AppState, SessionEntry};
-
-/// The durable-storage slot shared between the session table and the
-/// handlers that log to it. Lock order: session lock, then this mutex.
-type DurableSlot = Arc<Mutex<DurableSession>>;
 
 /// Shorthand for building an object value.
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
@@ -81,29 +74,22 @@ pub fn route(state: &AppState, req: &Request) -> (&'static str, Response) {
     }
 }
 
-/// Looks up a session handle (and its durable-storage slot, when the
-/// session has one) without holding the table lock afterwards.
-fn session_handle(
-    state: &AppState,
-    id: &str,
-) -> Result<(SessionHandle, Option<DurableSlot>), Response> {
+/// Looks up a session handle without holding the table lock afterwards.
+fn session_handle(state: &AppState, id: &str) -> Result<SessionHandle, Response> {
     state
         .sessions
         .read()
         .get(id)
-        .map(|e| (e.handle.clone(), e.durable.clone()))
+        .map(|e| e.handle.clone())
         .ok_or_else(|| Response::error(404, format!("no session {id:?}")))
 }
 
-/// Folds one append's outcome into the process-wide WAL counters.
-fn record_wal_metrics(state: &AppState, out: &AppendOutcome, records: u64) {
+/// Folds one operation's appends into the process-wide WAL counters.
+fn record_wal_metrics(state: &AppState, wal: &WalTally) {
     use alex_core::telemetry::{WAL_APPENDS_TOTAL, WAL_BYTES_TOTAL, WAL_FSYNCS_TOTAL};
-    state.metrics.counter(WAL_APPENDS_TOTAL).add(records);
-    state.metrics.counter(WAL_BYTES_TOTAL).add(out.bytes);
-    state
-        .metrics
-        .counter(WAL_FSYNCS_TOTAL)
-        .add(u64::from(out.synced));
+    state.metrics.counter(WAL_APPENDS_TOTAL).add(wal.records);
+    state.metrics.counter(WAL_BYTES_TOTAL).add(wal.bytes);
+    state.metrics.counter(WAL_FSYNCS_TOTAL).add(wal.fsyncs);
 }
 
 /// Loads one dataset from either an inline N-Triples string or a file
@@ -243,7 +229,7 @@ fn create_session(state: &AppState, req: &Request) -> Response {
         Ok(cfg) => cfg,
         Err(e) => return Response::error(400, e),
     };
-    let durability = cfg.durability.clone();
+    let wal = cfg.durability.wal;
 
     let driver = match AlexDriver::new(&left, &right, &links, cfg) {
         Ok(d) => d,
@@ -251,7 +237,7 @@ fn create_session(state: &AppState, req: &Request) -> Response {
     };
 
     let id = state.fresh_id();
-    let candidates = driver.candidate_links().len();
+    let candidates = driver.candidate_links();
     let left_triples = left.len();
     let right_triples = right.len();
 
@@ -271,52 +257,29 @@ fn create_session(state: &AppState, req: &Request) -> Response {
         .counter("alex_sim_cache_misses_total")
         .add(build.cache.misses);
 
-    let session = LiveSession::new(left, right, driver);
+    let mut session = LiveSession::new(left, right, driver);
 
     // Durability: lay down the session's on-disk state (dataset
     // snapshots + initial checkpoint + empty WAL) *before* acknowledging
     // the session — a crash after the 201 must be able to bring it back.
-    let durable = if durability.wal {
+    if wal {
         let Some(dir) = &state.state_dir else {
             return Response::error(
                 400,
                 "durability.wal requires the server to run with a state directory",
             );
         };
-        let opts = match durability.to_options() {
-            Ok(o) => o,
-            Err(e) => return Response::error(400, format!("config.durability: {e}")),
-        };
-        let mut durable = match DurableSession::create(
-            dir,
-            &id,
-            &session,
-            opts,
-            durability.compact_after_records,
-        ) {
-            Ok(d) => d,
-            Err(e) => {
-                return Response::error(500, format!("creating durable session storage: {e}"))
-            }
-        };
-        let mut snap = session.snapshot();
-        if let Err(e) = durable.checkpoint(&mut snap) {
-            return Response::error(500, format!("writing initial checkpoint: {e}"));
+        if let Err(e) = session.persist(dir, &id) {
+            return Response::error(500, format!("creating durable session storage: {e}"));
         }
-        Some(Arc::new(Mutex::new(durable)))
-    } else {
-        None
-    };
-    let durable_on = durable.is_some();
+    }
 
-    let handle = SessionHandle::new(session);
-    update_session_gauges(state, &id, &handle, truth.as_ref());
+    update_session_gauges(state, &id, &candidates, 0, truth.as_ref());
     state.sessions.write().insert(
         id.clone(),
         SessionEntry {
-            handle,
+            handle: SessionHandle::new(session),
             truth,
-            durable,
         },
     );
     state.metrics.counter("alex_sessions_created_total").inc();
@@ -329,24 +292,24 @@ fn create_session(state: &AppState, req: &Request) -> Response {
         201,
         &obj(vec![
             ("id", Value::String(id)),
-            ("candidates", num(candidates)),
+            ("candidates", num(candidates.len())),
             ("left_triples", num(left_triples)),
             ("right_triples", num(right_triples)),
-            ("durable", Value::Bool(durable_on)),
+            ("durable", Value::Bool(wal)),
         ]),
     )
 }
 
-/// Refreshes the per-session gauges (and quality gauges when ground
-/// truth is known). Also called by boot recovery in `server.rs`.
+/// Refreshes the per-session gauges from counts the caller already has
+/// (and the quality gauges when ground truth is known). Also called by
+/// boot recovery in `server.rs`.
 pub(crate) fn update_session_gauges(
     state: &AppState,
     id: &str,
-    handle: &SessionHandle,
+    candidates: &HashSet<Link>,
+    episodes: u64,
     truth: Option<&HashSet<Link>>,
 ) {
-    let session = handle.read();
-    let candidates = session.driver.candidate_links();
     state
         .metrics
         .gauge(&format!("alex_session_candidates{{session=\"{id}\"}}"))
@@ -354,12 +317,9 @@ pub(crate) fn update_session_gauges(
     state
         .metrics
         .gauge(&format!("alex_session_episodes{{session=\"{id}\"}}"))
-        .set(session.episodes as i64);
-    state
-        .metrics
-        .counter(&format!("alex_session_feedback_total{{session=\"{id}\"}}"));
+        .set(episodes as i64);
     if let Some(truth) = truth {
-        let q = Quality::compute(&candidates, truth);
+        let q = Quality::compute(candidates, truth);
         state
             .metrics
             .float_gauge(&format!("alex_session_precision{{session=\"{id}\"}}"))
@@ -373,11 +333,10 @@ pub(crate) fn update_session_gauges(
 
 /// `GET /sessions/{id}` — summary.
 fn session_info(state: &AppState, id: &str) -> Response {
-    let (handle, durable) = match session_handle(state, id) {
+    let handle = match session_handle(state, id) {
         Ok(h) => h,
         Err(resp) => return resp,
     };
-    let durable_on = durable.is_some();
     let session = handle.read();
     let config = serde_json::to_value(session.driver.config()).unwrap_or(Value::Null);
     Response::json(
@@ -392,7 +351,7 @@ fn session_info(state: &AppState, id: &str) -> Response {
             ),
             ("left_triples", num(session.left.len())),
             ("right_triples", num(session.right.len())),
-            ("durable", Value::Bool(durable_on)),
+            ("durable", Value::Bool(session.logs())),
             ("config", config),
         ]),
     )
@@ -426,7 +385,7 @@ fn render_link(l: &Link, left: &Store, right: &Store) -> Value {
 /// health: whether the answer set is degraded (sources were skipped) and
 /// per-source retry/timeout/breaker accounting.
 fn query(state: &AppState, id: &str, req: &Request) -> Response {
-    let (handle, durable) = match session_handle(state, id) {
+    let handle = match session_handle(state, id) {
         Ok(h) => h,
         Err(resp) => return resp,
     };
@@ -480,22 +439,11 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
     let skipped = report.skipped_sources();
     if report.degraded {
         // Only degraded queries need the write lock; the hot path stays
-        // read-only so concurrent queries don't serialize. The tally is
-        // logged before the counters move (log-before-ack), under the
-        // session lock so the WAL order matches the apply order.
-        let mut session = handle.write();
-        if let Some(durable) = &durable {
-            let record = WalRecord::Degraded {
-                source_skips: skipped.len() as u64,
-            };
-            match durable.lock().log(&[record]) {
-                Ok(out) => record_wal_metrics(state, &out, 1),
-                Err(e) => {
-                    return Response::error(500, format!("write-ahead log append failed: {e}"))
-                }
-            }
+        // read-only so concurrent queries don't serialize.
+        match handle.write().record_query_outcome(skipped.len()) {
+            Ok(wal) => record_wal_metrics(state, &wal),
+            Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
         }
-        session.record_query_outcome(skipped.len());
     }
 
     state.metrics.counter("alex_queries_total").inc();
@@ -573,10 +521,10 @@ fn record_federation_metrics(state: &AppState, report: &alex_query::QueryReport)
 /// `{"items": [{"left": iri, "right": iri, "approve": bool}, ...]}`.
 /// Runs one feedback episode and reports what changed.
 fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
-    let (handle, truth, durable) = {
+    let (handle, truth) = {
         let sessions = state.sessions.read();
         match sessions.get(id) {
-            Some(e) => (e.handle.clone(), e.truth.clone(), e.durable.clone()),
+            Some(e) => (e.handle.clone(), e.truth.clone()),
             None => return Response::error(404, format!("no session {id:?}")),
         }
     };
@@ -617,100 +565,31 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
         ));
     }
 
-    // Log-before-ack: the whole batch reaches the WAL (per the session's
-    // fsync policy) before any of it mutates the driver. A crash after
-    // this point replays the batch; a crash before it never acked.
-    if let Some(durable) = &durable {
-        let records: Vec<WalRecord> = batch
-            .iter()
-            .map(|&(link, approve)| WalRecord::Feedback {
-                left: session.left.iri_str(link.left).to_string(),
-                right: session.right.iri_str(link.right).to_string(),
-                positive: approve,
-            })
-            .collect();
-        match durable.lock().log(&records) {
-            Ok(out) => record_wal_metrics(state, &out, records.len() as u64),
-            Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
-        }
-    }
-
-    let before = session.driver.candidate_links();
-    for &(link, approve) in &batch {
-        session.driver.process_feedback(link, approve);
-    }
-    let stats = session.driver.end_episode();
-    session.episodes += 1;
-    session.feedback_items += batch.len() as u64;
-    let after = session.driver.candidate_links();
-    let episodes = session.episodes;
-
-    // Close the episode in the log: an audit trail of what exploration
-    // changed, the episode marker, and a per-partition RNG/Q cross-check
-    // that recovery verifies after replay. Then fold the log into a
-    // fresh checkpoint once enough records have accumulated.
-    if let Some(durable) = &durable {
-        let mut records: Vec<WalRecord> = Vec::new();
-        for link in after.difference(&before) {
-            records.push(WalRecord::LinkAdded {
-                left: session.left.iri_str(link.left).to_string(),
-                right: session.right.iri_str(link.right).to_string(),
-            });
-        }
-        for link in before.difference(&after) {
-            records.push(WalRecord::LinkRemoved {
-                left: session.left.iri_str(link.left).to_string(),
-                right: session.right.iri_str(link.right).to_string(),
-                reason: "episode".to_string(),
-            });
-        }
-        records.push(WalRecord::EpisodeEnd {
-            episode: session.episodes,
-            feedback_items: session.feedback_items,
-        });
-        for (partition, engine) in session.driver.engines().iter().enumerate() {
-            records.push(WalRecord::PolicyDelta {
-                partition: partition as u64,
-                rng: engine.rng_state(),
-                q_entries: engine.q_table().len() as u64,
-            });
-        }
-        let mut durable = durable.lock();
-        match durable.log(&records) {
-            Ok(out) => record_wal_metrics(state, &out, records.len() as u64),
-            Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
-        }
-        if durable.should_compact() {
-            let mut snap = session.snapshot();
-            if let Err(e) = durable.checkpoint(&mut snap) {
-                // Compaction failing is not fatal: the WAL still has
-                // everything, so durability holds — just report it.
-                trace::diag("error", &format!("session {id}: compaction failed: {e}"));
-            }
-        }
-    }
+    // Log-before-ack: a logging session appends the batch before it
+    // mutates the driver; an error means nothing may be acknowledged.
+    let out = match session.feedback(&batch) {
+        Ok(out) => out,
+        Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
+    };
     drop(session);
 
+    record_wal_metrics(state, &out.wal);
     state
         .metrics
         .counter("alex_feedback_items_total")
         .add(batch.len() as u64);
-    state
-        .metrics
-        .counter(&format!("alex_session_feedback_total{{session=\"{id}\"}}"))
-        .add(batch.len() as u64);
-    update_session_gauges(state, id, &handle, truth.as_ref());
+    update_session_gauges(state, id, &out.candidates, out.episode, truth.as_ref());
 
     Response::json(
         200,
         &obj(vec![
             ("accepted", num(batch.len())),
-            ("links_added", num(stats.links_added)),
-            ("links_removed", num(stats.links_removed)),
-            ("rollbacks", num(stats.rollbacks)),
-            ("candidates_before", num(before.len())),
-            ("candidates", num(after.len())),
-            ("episode", Value::Number(Number::U64(episodes))),
+            ("links_added", num(out.stats.links_added)),
+            ("links_removed", num(out.stats.links_removed)),
+            ("rollbacks", num(out.stats.rollbacks)),
+            ("candidates_before", num(out.candidates_before)),
+            ("candidates", num(out.candidates.len())),
+            ("episode", Value::Number(Number::U64(out.episode))),
         ]),
     )
 }
@@ -718,12 +597,11 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
 /// `GET /sessions/{id}/links` — the current candidate set and blacklist,
 /// as sorted IRI pairs.
 fn links(state: &AppState, id: &str) -> Response {
-    let (handle, _durable) = match session_handle(state, id) {
+    let handle = match session_handle(state, id) {
         Ok(h) => h,
         Err(resp) => return resp,
     };
-    let session = handle.read();
-    let snapshot = session.snapshot();
+    let (candidates, blacklist) = handle.read().link_lists();
     let pairs = |links: &[(String, String)]| {
         Value::Array(
             links
@@ -737,9 +615,9 @@ fn links(state: &AppState, id: &str) -> Response {
     Response::json(
         200,
         &obj(vec![
-            ("count", num(snapshot.candidates.len())),
-            ("links", pairs(&snapshot.candidates)),
-            ("blacklist", pairs(&snapshot.blacklist)),
+            ("count", num(candidates.len())),
+            ("links", pairs(&candidates)),
+            ("blacklist", pairs(&blacklist)),
         ]),
     )
 }
@@ -1024,8 +902,6 @@ mod tests {
 
     #[test]
     fn durable_sessions_survive_a_restart() {
-        use alex_core::store::WalOptions;
-
         let dir = temp_state_dir("durable");
         let mut state = AppState::new(Some(dir.clone()));
         state.durability = DurabilityConfig {
@@ -1065,11 +941,11 @@ mod tests {
         // ever running. Recovery rebuilds the session from snapshots +
         // WAL replay, exactly as `Server::start` does at boot.
         drop(state);
-        let outcome = alex_core::recover_state_dir(&dir, WalOptions::default(), 0).unwrap();
+        let outcome = alex_core::recover_state_dir(&dir).unwrap();
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
         assert_eq!(outcome.sessions.len(), 1);
         let recovered = outcome.sessions.into_iter().next().unwrap();
-        assert_eq!(recovered.id, id);
+        assert_eq!(recovered.report.id, id);
         assert!(recovered.report.replayed_records > 0);
         assert!(!recovered.report.policy_mismatch);
         assert_eq!(recovered.session.episodes, 1);
@@ -1078,13 +954,12 @@ mod tests {
         // A fresh server serving the recovered session reports the exact
         // same candidate set and blacklist the crashed one had.
         let state2 = AppState::new(Some(dir.clone()));
-        state2.advance_ids_past(&recovered.id);
+        state2.advance_ids_past(&recovered.report.id);
         state2.sessions.write().insert(
-            recovered.id.clone(),
+            recovered.report.id.clone(),
             SessionEntry {
                 handle: SessionHandle::new(recovered.session),
                 truth: None,
-                durable: Some(Arc::new(Mutex::new(recovered.durable))),
             },
         );
         let (_, resp) = route(
@@ -1102,28 +977,74 @@ mod tests {
         let dir = temp_state_dir("hostile");
         let state = AppState::new(Some(dir.clone()));
         let id = created_session(&state);
-        let handle = state.sessions.read()[&id].handle.clone();
+        let victim = created_session(&state);
         // The API only ever generates `s{n}` ids, but the filesystem
         // boundary must hold even if a hostile id reaches the table.
-        state.sessions.write().insert(
-            "../../escape".to_string(),
-            SessionEntry {
-                handle,
-                truth: None,
-                durable: None,
-            },
-        );
+        let entry = state.sessions.write().remove(&victim).unwrap();
+        state
+            .sessions
+            .write()
+            .insert("../../escape".to_string(), entry);
         let results = state.persist_sessions();
         let errors: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
         assert_eq!(errors.len(), 1, "{results:?}");
-        assert!(errors[0].contains("refusing to persist"), "{}", errors[0]);
+        assert!(errors[0].contains("forbidden character"), "{}", errors[0]);
         // Nothing was written outside the state directory, and the
         // honest session still persisted inside it.
-        assert!(dir.join(format!("session-{id}.json")).exists());
+        assert!(dir
+            .join(format!("session-{id}"))
+            .join("checkpoint.json")
+            .exists());
+        let listing: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(listing, [format!("session-{id}")], "{listing:?}");
         let parent = dir.parent().unwrap();
-        assert!(!parent.join("escape.json").exists());
-        assert!(!parent.parent().unwrap().join("escape.json").exists());
+        assert!(!parent.join("escape").exists());
+        assert!(!parent.parent().unwrap().join("escape").exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn links_lists_match_the_snapshot_lists() {
+        let state = AppState::new(None);
+        let id = created_session(&state);
+        // Blacklist one link, so both lists are non-empty.
+        let fb =
+            r#"{"items": [{"left": "http://l/e1", "right": "http://r/e1", "approve": false}]}"#;
+        let (_, resp) = route(
+            &state,
+            &request("POST", &format!("/sessions/{id}/feedback"), fb),
+        );
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+
+        let (_, resp) = route(
+            &state,
+            &request("GET", &format!("/sessions/{id}/links"), ""),
+        );
+        assert_eq!(resp.status, 200);
+        let snap = state.sessions.read()[&id].handle.read().snapshot();
+        assert!(!snap.candidates.is_empty() && !snap.blacklist.is_empty());
+        let pairs = |links: &[(String, String)]| {
+            Value::Array(
+                links
+                    .iter()
+                    .map(|(l, r)| {
+                        Value::Array(vec![Value::String(l.clone()), Value::String(r.clone())])
+                    })
+                    .collect(),
+            )
+        };
+        let expected = Response::json(
+            200,
+            &obj(vec![
+                ("count", num(snap.candidates.len())),
+                ("links", pairs(&snap.candidates)),
+                ("blacklist", pairs(&snap.blacklist)),
+            ]),
+        );
+        assert_eq!(resp.body, expected.body);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`state`] — the shared session table ([`alex_core::SessionHandle`]
 //!   per session) and metrics registry.
 //! * [`server`] — acceptor + bounded-queue worker pool (`503` when
-//!   saturated) + graceful shutdown that persists session snapshots.
+//!   saturated), boot recovery of the state directory, and graceful
+//!   shutdown that checkpoints every session into it.
 //!
 //! ```no_run
 //! use alex_serve::{ServeConfig, Server};

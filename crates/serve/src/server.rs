@@ -9,7 +9,7 @@
 //! and closes — backpressure is explicit and immediate, never an unbounded
 //! backlog. Shutdown sets the flag, joins the acceptor, drops the sender
 //! (workers drain what was already queued, then exit), joins the workers,
-//! and finally snapshots every session to the state directory.
+//! and finally checkpoints every session into the state directory.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -25,7 +25,6 @@ use alex_core::telemetry::{
 use alex_core::trace::{self, Payload};
 use alex_core::{DurabilityConfig, SessionHandle};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
 
 use crate::api;
 use crate::http::{read_request, HttpError, Response};
@@ -42,12 +41,15 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-connection socket read/write timeout.
     pub request_timeout: Duration,
-    /// Where shutdown persists session snapshots (`session-<id>.json`).
+    /// Where sessions live on disk, one `session-<id>/` directory each
+    /// (dataset snapshots, `checkpoint.json`, WAL). Boot restores every
+    /// session found there before the listener accepts traffic, and
+    /// shutdown checkpoints every session into it.
     pub state_dir: Option<PathBuf>,
-    /// Server-wide durability defaults: whether sessions write a WAL,
-    /// the fsync policy, and the compaction threshold. With `wal` on and
-    /// a `state_dir` configured, boot replays every per-session WAL found
-    /// there before the listener accepts traffic.
+    /// Durability defaults for new sessions: whether they write a WAL,
+    /// the fsync policy, and the compaction threshold. A session may
+    /// override them via `config.durability`; a restored session keeps
+    /// the settings in its own checkpoint.
     pub durability: DurabilityConfig,
 }
 
@@ -81,7 +83,7 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         // Fail fast on a bad durability config instead of discovering it
         // on the first session creation.
-        let wal_opts = cfg.durability.to_options().map_err(|e| {
+        cfg.durability.validate().map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!("durability config: {e}"),
@@ -104,13 +106,11 @@ impl Server {
             // from the first scrape on.
             state.metrics.counter(name).add(0);
         }
-        // Boot recovery: replay every per-session WAL found in the state
+        // Boot recovery: restore every session found in the state
         // directory before the listener starts accepting traffic, so a
         // client that reconnects right away sees its sessions back.
-        if cfg.durability.wal {
-            if let Some(dir) = &cfg.state_dir {
-                recover_sessions(&state, dir, wal_opts, cfg.durability.compact_after_records);
-            }
+        if let Some(dir) = &cfg.state_dir {
+            recover_sessions(&state, dir);
         }
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) =
@@ -160,8 +160,8 @@ impl Server {
     }
 
     /// Gracefully stops: no new connections, in-flight and queued
-    /// requests finish, then every session is snapshotted to the state
-    /// directory. Returns the snapshot files written (empty without a
+    /// requests finish, then every session is checkpointed into the state
+    /// directory. Returns the checkpoint files written (empty without a
     /// state dir).
     pub fn shutdown(mut self) -> Vec<Result<PathBuf, String>> {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -177,18 +177,14 @@ impl Server {
     }
 }
 
-/// Replays every `session-<id>/` directory under `dir` into the session
+/// Restores every `session-<id>/` directory under `dir` into the session
 /// table: dataset snapshots decode, the checkpoint restores the learned
 /// policy, and the WAL tail replays through the deterministic feedback
 /// path. Failures (aborted creations, damaged snapshots) are diagnosed
-/// and skipped — one broken session must not keep the server down.
-fn recover_sessions(
-    state: &AppState,
-    dir: &std::path::Path,
-    opts: alex_core::store::WalOptions,
-    compact_after: u64,
-) {
-    let outcome = match alex_core::recover_state_dir(dir, opts, compact_after) {
+/// and skipped — one broken session must not keep the server down — but
+/// their ids stay taken, so no new session overwrites their directory.
+fn recover_sessions(state: &AppState, dir: &std::path::Path) {
+    let outcome = match alex_core::recover_state_dir(dir) {
         Ok(o) => o,
         Err(e) => {
             trace::diag(
@@ -198,35 +194,36 @@ fn recover_sessions(
             return;
         }
     };
+    for (id, _) in &outcome.failures {
+        state.advance_ids_past(id);
+    }
     for recovered in outcome.sessions {
+        let (id, session) = (recovered.report.id, recovered.session);
         state.metrics.counter(RECOVERIES_TOTAL).inc();
         state
             .metrics
             .counter(RECOVERED_RECORDS_TOTAL)
             .add(recovered.report.replayed_records);
-        state.advance_ids_past(&recovered.id);
-        let handle = SessionHandle::new(recovered.session);
-        api::update_session_gauges(state, &recovered.id, &handle, None);
-        state.sessions.write().insert(
-            recovered.id.clone(),
-            SessionEntry {
-                handle,
-                truth: None,
-                durable: Some(Arc::new(Mutex::new(recovered.durable))),
-            },
-        );
+        state.advance_ids_past(&id);
+        let candidates = session.driver.candidate_links();
+        api::update_session_gauges(state, &id, &candidates, session.episodes, None);
         trace::diag(
             "info",
             &format!(
-                "recovered session {}: {} episode(s), {} feedback item(s), \
+                "recovered session {id}: {} episode(s), {} feedback item(s), \
                  {} candidate link(s), {} WAL record(s) replayed",
-                recovered.id,
-                recovered.report.episodes,
-                recovered.report.feedback_items,
-                recovered.report.candidates,
+                session.episodes,
+                session.feedback_items,
+                candidates.len(),
                 recovered.report.replayed_records
             ),
         );
+        let handle = SessionHandle::new(session);
+        let entry = SessionEntry {
+            handle,
+            truth: None,
+        };
+        state.sessions.write().insert(id, entry);
     }
     state
         .metrics

@@ -3,27 +3,21 @@
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use alex_core::telemetry::MetricsRegistry;
-use alex_core::{
-    validate_session_id, write_atomic, DurabilityConfig, DurableSession, SessionHandle,
-};
+use alex_core::{DurabilityConfig, SessionHandle};
 use alex_rdf::Link;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-/// One server-side session: the shared curation handle plus optional
-/// ground-truth links (when the client supplied them at creation time,
-/// precision/recall gauges are updated after every feedback episode).
+/// One server-side session: the shared curation handle (which also owns
+/// the session's on-disk storage) plus optional ground-truth links (when
+/// the client supplied them at creation time, precision/recall gauges are
+/// updated after every feedback episode).
 pub struct SessionEntry {
     /// The thread-safe curation session.
     pub handle: SessionHandle,
     /// Optional ground truth for quality gauges.
     pub truth: Option<HashSet<Link>>,
-    /// Per-session durable storage (dataset snapshots, checkpoint, WAL),
-    /// present when the session runs with the write-ahead log enabled.
-    /// Lock order: the session's own lock first, then this mutex.
-    pub durable: Option<Arc<Mutex<DurableSession>>>,
 }
 
 /// State shared by every worker thread.
@@ -33,7 +27,7 @@ pub struct AppState {
     pub sessions: RwLock<HashMap<String, SessionEntry>>,
     /// Process-wide metrics, served at `GET /metrics`.
     pub metrics: MetricsRegistry,
-    /// Where shutdown persists session snapshots, if anywhere.
+    /// Where sessions live on disk (`session-<id>/`), if anywhere.
     pub state_dir: Option<PathBuf>,
     /// Server-wide durability defaults; sessions may override via
     /// `config.durability` at creation time.
@@ -61,7 +55,8 @@ impl AppState {
     }
 
     /// Makes sure freshly allocated ids never collide with `id` — called
-    /// for every session recovered from the state directory at boot.
+    /// at boot for every session directory in the state directory,
+    /// recovered or not.
     pub fn advance_ids_past(&self, id: &str) {
         if let Some(n) = id.strip_prefix('s').and_then(|n| n.parse::<u64>().ok()) {
             self.next_id
@@ -75,46 +70,26 @@ impl AppState {
         format!("r{}", self.next_request_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Persists every session to the state directory. Durable sessions
-    /// get a final checkpoint (folding their WAL); the rest are
-    /// snapshotted to `state_dir/session-<id>.json` (the raw
-    /// [`alex_core::SessionSnapshot`] JSON, restorable with
-    /// `SessionSnapshot::from_json(...).restore(...)`). All writes are
-    /// atomic (`*.tmp` + rename), so a crash mid-shutdown can never leave
-    /// a torn snapshot. Returns the files written; empty when no
-    /// `state_dir` is configured. Errors are reported per file rather
-    /// than aborting the remaining sessions.
+    /// Checkpoints every session into `state_dir/session-<id>/`
+    /// ([`alex_core::LiveSession::persist`]): a session without a
+    /// directory gets one first, so every session boots back through
+    /// [`alex_core::recover_state_dir`]. Returns the checkpoint files
+    /// written; empty when no `state_dir` is configured. Errors are
+    /// reported per session rather than aborting the others.
     pub fn persist_sessions(&self) -> Vec<Result<PathBuf, String>> {
         let Some(dir) = &self.state_dir else {
             return Vec::new();
         };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return vec![Err(format!("creating {}: {e}", dir.display()))];
-        }
         let sessions = self.sessions.read();
         let mut ids: Vec<&String> = sessions.keys().collect();
         ids.sort();
         ids.into_iter()
             .map(|id| {
-                // Ids are server-generated today, but this is the one
-                // place they become filenames — never let a hostile id
-                // escape the state directory.
-                validate_session_id(id)
-                    .map_err(|e| format!("refusing to persist session {id:?}: {e}"))?;
-                let entry = &sessions[id];
-                let mut snap = entry.handle.read().snapshot();
-                if let Some(durable) = &entry.durable {
-                    let mut durable = durable.lock();
-                    durable
-                        .checkpoint(&mut snap)
-                        .map(|_| durable.dir().join("checkpoint.json"))
-                        .map_err(|e| format!("checkpointing session {id}: {e}"))
-                } else {
-                    let path = dir.join(format!("session-{id}.json"));
-                    write_atomic(&path, snap.to_json().as_bytes())
-                        .map(|_| path.clone())
-                        .map_err(|e| format!("writing {}: {e}", path.display()))
-                }
+                sessions[id]
+                    .handle
+                    .write()
+                    .persist(dir, id)
+                    .map_err(|e| format!("persisting session {id:?}: {e}"))
             })
             .collect()
     }

@@ -1,10 +1,13 @@
 //! End-to-end tests for `alex-serve` over real TCP sockets: the Figure-1
 //! loop (query → answer feedback → link change) through the HTTP API,
-//! saturation backpressure (503), request timeouts (408), and graceful
-//! shutdown persisting restorable session snapshots.
+//! saturation backpressure (503), request timeouts (408), graceful
+//! shutdown persisting restorable session checkpoints, and restarts that
+//! bring every session in the state directory back.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use alex::serve::{ServeConfig, Server};
@@ -99,7 +102,21 @@ fn local(overrides: impl FnOnce(&mut ServeConfig)) -> ServeConfig {
 /// Creates the Figure-1 session (one correct link, one wrong link) and
 /// returns its id.
 fn create_session(addr: &str) -> String {
+    create_session_with(addr, false)
+}
+
+/// [`create_session`], optionally asking for a write-ahead log through
+/// the session's own `config.durability`.
+fn create_session_with(addr: &str, wal: bool) -> String {
     let (left, right) = figure1_world();
+    let mut config = vec![
+        ("partitions", Value::Number(serde_json::Number::U64(1))),
+        ("epsilon", Value::Number(serde_json::Number::F64(0.0))),
+        ("seed", Value::Number(serde_json::Number::U64(7))),
+    ];
+    if wal {
+        config.push(("durability", obj(vec![("wal", Value::Bool(true))])));
+    }
     let body = obj(vec![
         ("left_data", s(&left)),
         ("right_data", s(&right)),
@@ -110,19 +127,66 @@ fn create_session(addr: &str) -> String {
                 pair("http://db/player0", "http://ny/person1"), // wrong (LeBron = Kobe)
             ]),
         ),
-        (
-            "config",
-            obj(vec![
-                ("partitions", Value::Number(serde_json::Number::U64(1))),
-                ("epsilon", Value::Number(serde_json::Number::F64(0.0))),
-                ("seed", Value::Number(serde_json::Number::U64(7))),
-            ]),
-        ),
+        ("config", obj(config)),
     ]);
     let (status, v) = http(addr, "POST", "/sessions", Some(&body));
     assert_eq!(status, 201, "session create failed: {v:?}");
     assert_eq!(v.get("candidates").unwrap().as_u64(), Some(2));
+    assert_eq!(v.get("durable").unwrap().as_bool(), Some(wal), "{v:?}");
     v.get("id").unwrap().as_str().unwrap().to_string()
+}
+
+/// One acknowledged feedback episode: rejects the wrong Figure-1 link.
+fn reject_wrong_link(addr: &str, id: &str) {
+    let (status, v) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{id}/feedback"),
+        Some(&obj(vec![(
+            "items",
+            Value::Array(vec![obj(vec![
+                ("left", s("http://db/player0")),
+                ("right", s("http://ny/person1")),
+                ("approve", Value::Bool(false)),
+            ])]),
+        )])),
+    );
+    assert_eq!(status, 200, "feedback failed: {v:?}");
+}
+
+/// What a restart must bring back: the candidate and blacklist listing,
+/// and the episode and feedback-item counters.
+fn session_state(addr: &str, id: &str) -> (Value, Value, Value) {
+    let (status, links) = http(addr, "GET", &format!("/sessions/{id}/links"), None);
+    assert_eq!(status, 200, "{links:?}");
+    let (status, info) = http(addr, "GET", &format!("/sessions/{id}"), None);
+    assert_eq!(status, 200, "{info:?}");
+    let counter = |key: &str| info.get(key).cloned().unwrap();
+    (links, counter("episodes"), counter("feedback_items"))
+}
+
+fn temp_state_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("alex-serve-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every file under `dir`, by relative path, with its bytes.
+fn file_tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().to_path_buf();
+                out.insert(rel, std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
 }
 
 const MVP_QUERY: &str = "SELECT ?article WHERE { \
@@ -342,31 +406,20 @@ fn saturated_queue_answers_503_and_stalled_requests_408() {
 
 #[test]
 fn graceful_shutdown_persists_restorable_snapshots() {
-    let dir = std::env::temp_dir().join(format!("alex-serve-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_state_dir("drain");
     let (server, addr) = start(local(|cfg| cfg.state_dir = Some(dir.clone())));
 
     let id = create_session(&addr);
     // One feedback episode so the persisted state differs from the input.
-    let (status, _) = http(
-        &addr,
-        "POST",
-        &format!("/sessions/{id}/feedback"),
-        Some(&obj(vec![(
-            "items",
-            Value::Array(vec![obj(vec![
-                ("left", s("http://db/player0")),
-                ("right", s("http://ny/person1")),
-                ("approve", Value::Bool(false)),
-            ])]),
-        )])),
-    );
-    assert_eq!(status, 200);
+    reject_wrong_link(&addr, &id);
 
     let written = server.shutdown();
     assert_eq!(written.len(), 1);
-    let path = written[0].as_ref().expect("snapshot written").clone();
-    assert_eq!(path, dir.join(format!("session-{id}.json")));
+    let path = written[0].as_ref().expect("checkpoint written").clone();
+    assert_eq!(
+        path,
+        dir.join(format!("session-{id}")).join("checkpoint.json")
+    );
 
     // The server is really gone: new connections are refused.
     assert!(
@@ -389,6 +442,78 @@ fn graceful_shutdown_persists_restorable_snapshots() {
     let driver = snap.restore(&left, &right).expect("snapshot restores");
     assert_eq!(driver.candidate_links().len(), snap.candidates.len());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_restores_a_logged_session_on_a_server_without_wal() {
+    // The server runs without a WAL default; the session asks for one.
+    let dir = temp_state_dir("restart-wal");
+    let cfg = local(|cfg| cfg.state_dir = Some(dir.clone()));
+    let (server, addr) = start(cfg.clone());
+    let id = create_session_with(&addr, true);
+    reject_wrong_link(&addr, &id);
+    let before = session_state(&addr, &id);
+    // A crash: no drain, so only the WAL has the acknowledged episode.
+    drop(server);
+
+    let (server, addr) = start(cfg);
+    assert_eq!(session_state(&addr, &id), before);
+    assert_eq!(create_session(&addr), "s2", "ids continue past s1");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_restores_a_drained_plain_session() {
+    let dir = temp_state_dir("restart-plain");
+    let cfg = local(|cfg| cfg.state_dir = Some(dir.clone()));
+    let (server, addr) = start(cfg.clone());
+    let id = create_session(&addr);
+    reject_wrong_link(&addr, &id);
+    let before = session_state(&addr, &id);
+    for written in server.shutdown() {
+        written.expect("checkpoint written");
+    }
+
+    let (server, addr) = start(cfg);
+    assert_eq!(session_state(&addr, &id), before);
+    assert_eq!(create_session(&addr), "s2", "ids continue past s1");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_never_reuses_the_id_of_a_session_it_could_not_recover() {
+    let dir = temp_state_dir("restart-failed");
+    let cfg = local(|cfg| {
+        cfg.state_dir = Some(dir.clone());
+        cfg.durability.wal = true;
+    });
+    let (server, addr) = start(cfg.clone());
+    let id = create_session_with(&addr, true);
+    assert_eq!(id, "s1");
+    reject_wrong_link(&addr, &id);
+    server.shutdown();
+
+    // Damage the session's left dataset snapshot: its recovery fails.
+    let session_dir = dir.join("session-s1");
+    let snapshot = session_dir.join("left.alexdb");
+    let mut bytes = std::fs::read(&snapshot).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&snapshot, bytes).unwrap();
+    let damaged = file_tree(&session_dir);
+
+    let (server, addr) = start(cfg);
+    assert_eq!(http(&addr, "GET", "/sessions/s1", None).0, 404);
+    assert_eq!(create_session_with(&addr, true), "s2");
+    server.shutdown();
+    assert_eq!(
+        file_tree(&session_dir),
+        damaged,
+        "the unrecovered session's directory was modified"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
